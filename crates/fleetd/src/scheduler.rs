@@ -962,4 +962,333 @@ mod tests {
         sched.shutdown();
         sched.join();
     }
+
+    /// One durable-write site exercised on a fresh SimFs store.
+    #[derive(Debug, Clone, Copy)]
+    enum Site {
+        JournalCreate,
+        JournalOpenAppend,
+        JournalAppend,
+        CheckpointSave,
+        BundleWrite,
+        AdmissionProbe,
+    }
+
+    /// What a fault site did: its outcome, the unconsumed budget, the
+    /// labels of the operations it recorded, and the files it left.
+    type SiteOutcome = (
+        Result<(), std::io::ErrorKind>,
+        Option<vs_guard::fsfault::FsFaultPlan>,
+        Vec<String>,
+        Vec<(String, usize, u32)>,
+    );
+
+    /// Runs `site` with `plan` installed (after any fault-free set-up)
+    /// and reports the outcome, the unconsumed budget, the labels of the
+    /// operations recorded once the plan was armed, and every file left
+    /// on the simulated disk as `(path, len, crc32)`.
+    fn run_site(site: Site, plan: vs_guard::fsfault::FsFaultPlan) -> SiteOutcome {
+        use std::path::Path;
+        use vs_guard::vfs::{SimFs, VfsHandle};
+        use vs_guard::JournalWriter;
+        let sim = Arc::new(SimFs::new());
+        let vfs: VfsHandle = Arc::clone(&sim) as VfsHandle;
+        let dir = Path::new("/vsim/store");
+        let store = FleetStore::open_on(&vfs, dir).unwrap();
+        let journal = dir.join("00ff.journal");
+        let header = ["voltspec-journal v1", "fingerprint 00ff"];
+        let armed_at = std::cell::Cell::new(0);
+        let arm = || {
+            armed_at.set(sim.ops().len());
+            vfs.faults().install(dir, plan);
+        };
+        let result = match site {
+            Site::JournalCreate => {
+                arm();
+                JournalWriter::create_on(&vfs, &journal, &header).map(drop)
+            }
+            Site::JournalOpenAppend => {
+                drop(JournalWriter::create_on(&vfs, &journal, &header).unwrap());
+                arm();
+                JournalWriter::open_append_on(&vfs, &journal).map(drop)
+            }
+            Site::JournalAppend => {
+                let mut w = JournalWriter::create_on(&vfs, &journal, &header).unwrap();
+                w.append("chip 0 first").unwrap();
+                arm();
+                w.append("chip 1 second")
+            }
+            Site::CheckpointSave => {
+                arm();
+                vs_fleet::save_checkpoint_on(&vfs, &dir.join("00ff.ckpt"), 0xff, &[]).map_err(|e| {
+                    match e {
+                        vs_fleet::CheckpointError::Io(e) => e,
+                        other => panic!("unexpected checkpoint error {other}"),
+                    }
+                })
+            }
+            Site::BundleWrite => {
+                arm();
+                let mut bundle =
+                    vs_obs::PostmortemBundle::new(vs_obs::PostmortemTrigger::Watchdog, 3, 0xff);
+                bundle.detail = "watchdog cancelled chip 3".into();
+                vs_obs::flight::write_bundle_on(&vfs, &dir.join("postmortem"), &bundle).map(drop)
+            }
+            Site::AdmissionProbe => {
+                arm();
+                if store_writable(&store) {
+                    Ok(())
+                } else {
+                    Err(std::io::Error::other("probe refused"))
+                }
+            }
+        };
+        let files = sim
+            .snapshot()
+            .files
+            .into_iter()
+            .map(|(p, bytes)| {
+                (
+                    p.display().to_string(),
+                    bytes.len(),
+                    vs_guard::crc32(&bytes),
+                )
+            })
+            .collect();
+        let ops = sim.ops()[armed_at.get()..]
+            .iter()
+            .map(|op| op.label())
+            .collect();
+        (
+            result.map_err(|e| e.kind()),
+            vfs.faults().remaining(),
+            ops,
+            files,
+        )
+    }
+
+    /// Pins what every durable-write site does under each injected
+    /// fault class: the error kind, the budget left afterwards, the
+    /// operations the site recorded once the plan was armed, and the
+    /// exact files and bytes left on the simulated disk. ENOSPC fails
+    /// before any file is created; a short write leaves a durable prefix
+    /// only where the site keeps one (the journal append); an fsync
+    /// failure leaves the written bytes unsynced.
+    #[test]
+    fn fault_sites_behave_as_pinned() {
+        use std::io::ErrorKind::{Other, StorageFull, WriteZero};
+        use vs_guard::fsfault::FsFaultPlan;
+        let enospc = FsFaultPlan {
+            enospc: 1,
+            ..FsFaultPlan::default()
+        };
+        let short = FsFaultPlan {
+            short_writes: 1,
+            ..FsFaultPlan::default()
+        };
+        let fsync = FsFaultPlan {
+            fsync_failures: 1,
+            ..FsFaultPlan::default()
+        };
+        let spent = Some(FsFaultPlan::default());
+        const J: &str = "/vsim/store/00ff.journal";
+        const CK: &str = "/vsim/store/00ff.ckpt.tmp.sim1";
+        const PM: &str =
+            "/vsim/store/postmortem/.pm-00000000000000ff-chip3-watchdog.bundle.tmp.sim1";
+        let header = (J, 37, 3_388_897_900);
+        type Case<'a> = (
+            Site,
+            FsFaultPlan,
+            Result<(), std::io::ErrorKind>,
+            Option<FsFaultPlan>,
+            Vec<String>,
+            Vec<(&'a str, usize, u32)>,
+        );
+        let cases: Vec<Case> = vec![
+            (
+                Site::JournalCreate,
+                enospc,
+                Err(StorageFull),
+                spent,
+                vec![],
+                vec![],
+            ),
+            (
+                Site::JournalCreate,
+                short,
+                Err(WriteZero),
+                spent,
+                vec![],
+                vec![],
+            ),
+            (
+                Site::JournalCreate,
+                fsync,
+                Err(Other),
+                spent,
+                vec![
+                    format!("create {J}"),
+                    format!("write {J} (19B)"),
+                    format!("write {J} (1B)"),
+                    format!("write {J} (16B)"),
+                    format!("write {J} (1B)"),
+                ],
+                vec![header],
+            ),
+            (
+                Site::JournalOpenAppend,
+                enospc,
+                Err(StorageFull),
+                spent,
+                vec![],
+                vec![header],
+            ),
+            (
+                Site::JournalOpenAppend,
+                short,
+                Err(WriteZero),
+                spent,
+                vec![],
+                vec![header],
+            ),
+            (
+                Site::JournalOpenAppend,
+                fsync,
+                Ok(()),
+                Some(fsync),
+                vec![],
+                vec![header],
+            ),
+            (
+                Site::JournalAppend,
+                enospc,
+                Err(StorageFull),
+                spent,
+                vec![],
+                vec![(J, 59, 512_322_241)],
+            ),
+            (
+                Site::JournalAppend,
+                short,
+                Err(WriteZero),
+                spent,
+                vec![format!("write {J} (11B)"), format!("sync {J}")],
+                vec![(J, 70, 3_250_384_822)],
+            ),
+            (
+                Site::JournalAppend,
+                fsync,
+                Err(Other),
+                spent,
+                vec![format!("write {J} (23B)")],
+                vec![(J, 82, 812_040_139)],
+            ),
+            (
+                Site::CheckpointSave,
+                enospc,
+                Err(StorageFull),
+                spent,
+                vec![],
+                vec![],
+            ),
+            (
+                Site::CheckpointSave,
+                short,
+                Err(WriteZero),
+                spent,
+                vec![
+                    format!("create {CK}"),
+                    format!("write {CK} (29B)"),
+                    format!("sync {CK}"),
+                    format!("remove {CK}"),
+                ],
+                vec![],
+            ),
+            (
+                Site::CheckpointSave,
+                fsync,
+                Err(Other),
+                spent,
+                vec![
+                    format!("create {CK}"),
+                    format!("write {CK} (58B)"),
+                    format!("remove {CK}"),
+                ],
+                vec![],
+            ),
+            (
+                Site::BundleWrite,
+                enospc,
+                Err(StorageFull),
+                spent,
+                vec!["mkdir /vsim/store/postmortem".to_string()],
+                vec![],
+            ),
+            (
+                Site::BundleWrite,
+                short,
+                Err(WriteZero),
+                spent,
+                vec![
+                    "mkdir /vsim/store/postmortem".to_string(),
+                    format!("create {PM}"),
+                    format!("write {PM} (82B)"),
+                    format!("sync {PM}"),
+                    format!("remove {PM}"),
+                ],
+                vec![],
+            ),
+            (
+                Site::BundleWrite,
+                fsync,
+                Err(Other),
+                spent,
+                vec![
+                    "mkdir /vsim/store/postmortem".to_string(),
+                    format!("create {PM}"),
+                    format!("write {PM} (164B)"),
+                ],
+                vec![(PM, 164, 1_428_311_389)],
+            ),
+            (
+                Site::AdmissionProbe,
+                enospc,
+                Err(Other),
+                spent,
+                vec![],
+                vec![],
+            ),
+            (
+                Site::AdmissionProbe,
+                short,
+                Err(Other),
+                spent,
+                vec![],
+                vec![],
+            ),
+            (
+                Site::AdmissionProbe,
+                fsync,
+                Ok(()),
+                Some(fsync),
+                vec![
+                    "create /vsim/store/.admission-probe".to_string(),
+                    "write /vsim/store/.admission-probe (2B)".to_string(),
+                    "remove /vsim/store/.admission-probe".to_string(),
+                ],
+                vec![],
+            ),
+        ];
+        for (site, plan, result, remaining, ops, files) in cases {
+            let files = files
+                .into_iter()
+                .map(|(p, n, crc)| (p.to_string(), n, crc))
+                .collect();
+            assert_eq!(
+                run_site(site, plan),
+                (result, remaining, ops, files),
+                "{site:?} under {plan:?}"
+            );
+        }
+    }
 }
