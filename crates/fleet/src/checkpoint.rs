@@ -389,21 +389,13 @@ pub fn save_on(
     }
     let tmp = unique_temp_on(vfs, path);
     let result = (|| {
-        use std::io::Write as _;
         // FaultyFs consultation keys on the *final* path so torture
         // scopes match the store directory, not the temp name. A torn
         // write here only loses the temp file — the rename never
         // happens, so the previous checkpoint stays intact.
-        let fault = vfs.faults().write_fault(path, text.len())?;
+        let permit = vfs.faults().write_permit(path)?;
         let mut file = vfs.open_write(&tmp, OpenMode::Truncate)?;
-        match fault {
-            vs_guard::fsfault::WriteFault::Intact => file.write_all(text.as_bytes())?,
-            vs_guard::fsfault::WriteFault::Short(n) => {
-                file.write_all(&text.as_bytes()[..n])?;
-                let _ = file.sync_all();
-                return Err(vs_guard::fsfault::short_write_error().into());
-            }
-        }
+        permit.write(&mut *file, text.as_bytes())?;
         vfs.faults().sync_fault(path)?;
         // The fsync-before-rename is what makes the rename safe: without
         // it, a crash after the (metadata-durable) rename can expose a

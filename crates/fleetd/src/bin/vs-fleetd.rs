@@ -24,6 +24,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use vs_fleetd::server::{serve_jsonl, serve_unix};
 use vs_fleetd::{FleetStore, Scheduler, SchedulerConfig};
+use vs_guard::vfs::{StdFs, VfsHandle};
 
 fn die(msg: &str) -> ! {
     eprintln!("vs-fleetd: {msg}");
@@ -117,7 +118,11 @@ fn main() -> ExitCode {
         die("pick exactly one transport: --socket PATH or --stdio");
     }
 
-    let store = match FleetStore::open(&store_dir) {
+    // The daemon's own filesystem handle: its store, every job's
+    // journal, checkpoint and postmortem writes, and any `--torture`
+    // plan all share it, and its fault tallies feed the metrics scrape.
+    let vfs: VfsHandle = Arc::new(StdFs::new());
+    let store = match FleetStore::open_on(&vfs, &store_dir) {
         Ok(store) => store,
         Err(e) => die(&format!("cannot open store {}: {e}", store_dir.display())),
     };
@@ -168,12 +173,9 @@ fn main() -> ExitCode {
     }
 
     // Torture mode: the store-surface counts of the spec's daemon
-    // atoms become a counted fault plan over the store directory. The
-    // guard uninstalls on exit. The daemon's store runs on the real
-    // filesystem whose fault state IS the process-global one, so the
-    // deprecated global shim is exactly right here.
-    #[allow(deprecated)]
-    let _torture_guard = torture.map(|spec| {
+    // atoms become a counted fault plan over the store directory,
+    // installed on the daemon's handle once boot recovery is done.
+    if let Some(spec) = torture {
         let plan = match vs_faults::FaultSpec::parse(&spec) {
             Ok(parsed) => parsed.materialize(1),
             Err(e) => die(&format!("bad --torture spec: {e}")),
@@ -193,8 +195,8 @@ fn main() -> ExitCode {
                 store_dir.display()
             );
         }
-        vs_guard::fsfault::install(&store_dir, fs_plan)
-    });
+        vfs.faults().install(&store_dir, fs_plan);
+    }
 
     let scheduler = Arc::new(Scheduler::start(config, store));
     if !quiet {

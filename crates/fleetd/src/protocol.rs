@@ -17,6 +17,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{self, Read, Write};
 use vs_fleet::ControllerVariant;
+use vs_types::json::{parse_object, ObjectWriter, Scalar};
 
 /// First bytes of every socket frame.
 pub const FRAME_MAGIC: [u8; 2] = *b"VF";
@@ -262,314 +263,55 @@ pub enum Response {
 }
 
 // ---------------------------------------------------------------------------
-// Flat JSON codec.
-//
-// Messages are single flat objects of string / integer / float / bool
-// values — rich enough for every message above, small enough to parse
-// by hand without pulling in a dependency. Numbers keep their raw text
-// until a field accessor asks for `u64` or `f64`, so 64-bit seeds
-// survive without float rounding.
+// Messages are flat JSON objects (`vs_types::json`) whose first field is
+// their `type`.
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, PartialEq)]
-enum Scalar {
-    Str(String),
-    Num(String),
-    Bool(bool),
+/// Starts a message of the given type.
+fn message(msg_type: &str) -> ObjectWriter {
+    ObjectWriter::new().str("type", msg_type)
 }
 
-fn escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-/// Incrementally builds one flat JSON object.
-struct MessageBuilder {
-    out: String,
-}
-
-impl MessageBuilder {
-    fn new(msg_type: &str) -> MessageBuilder {
-        let mut out = String::with_capacity(128);
-        out.push_str("{\"type\":\"");
-        escape_into(msg_type, &mut out);
-        out.push('"');
-        MessageBuilder { out }
-    }
-
-    fn key(&mut self, key: &str) -> &mut String {
-        self.out.push_str(",\"");
-        escape_into(key, &mut self.out);
-        self.out.push_str("\":");
-        &mut self.out
-    }
-
-    fn str(mut self, key: &str, value: &str) -> MessageBuilder {
-        let out = self.key(key);
-        out.push('"');
-        escape_into(value, out);
-        out.push('"');
-        self
-    }
-
-    fn u64(mut self, key: &str, value: u64) -> MessageBuilder {
-        let out = self.key(key);
-        out.push_str(&value.to_string());
-        self
-    }
-
-    fn f64(mut self, key: &str, value: f64) -> MessageBuilder {
-        let out = self.key(key);
-        if value.is_finite() {
-            out.push_str(&format!("{value:?}"));
-        } else {
-            // JSON has no NaN/Inf; a null round-trips as a BadField on
-            // access, which is the honest answer.
-            out.push_str("null");
-        }
-        self
-    }
-
-    fn bool(mut self, key: &str, value: bool) -> MessageBuilder {
-        let out = self.key(key);
-        out.push_str(if value { "true" } else { "false" });
-        self
-    }
-
-    fn finish(mut self) -> String {
-        self.out.push('}');
-        self.out
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Parser<'a> {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn err(msg: &str) -> ProtocolError {
-        ProtocolError::Json(msg.to_string())
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), ProtocolError> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(Self::err(&format!(
-                "expected {:?} at byte {}",
-                b as char, self.pos
-            )))
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn string(&mut self) -> Result<String, ProtocolError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err(Self::err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| Self::err("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| Self::err("non-ASCII \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| Self::err("bad \\u escape"))?;
-                            // Surrogates would need pairing; this codec
-                            // never emits them, so reject rather than
-                            // guess.
-                            let c = char::from_u32(code)
-                                .ok_or_else(|| Self::err("\\u escape is not a scalar value"))?;
-                            out.push(c);
-                            self.pos += 4;
-                        }
-                        _ => return Err(Self::err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(&b) if b < 0x20 => return Err(Self::err("raw control byte in string")),
-                Some(_) => {
-                    // Multi-byte UTF-8 is passed through; the payload was
-                    // validated as UTF-8 before parsing.
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.bytes.get(self.pos).is_some_and(|b| b & 0xC0 == 0x80) {
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| Self::err("invalid UTF-8"))?,
-                    );
-                }
-            }
-        }
-    }
-
-    fn scalar(&mut self) -> Result<Scalar, ProtocolError> {
-        match self.peek() {
-            Some(b'"') => Ok(Scalar::Str(self.string()?)),
-            Some(b't') => self.literal("true").map(|()| Scalar::Bool(true)),
-            Some(b'f') => self.literal("false").map(|()| Scalar::Bool(false)),
-            Some(b'n') => self.literal("null").map(|()| Scalar::Num("null".into())),
-            Some(b'-' | b'0'..=b'9') => {
-                let start = self.pos;
-                while self.bytes.get(self.pos).is_some_and(|b| {
-                    b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E')
-                }) {
-                    self.pos += 1;
-                }
-                let text = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| Self::err("invalid UTF-8"))?;
-                // Validate now so accessors can trust the text parses as
-                // *some* number.
-                text.parse::<f64>()
-                    .map_err(|_| Self::err(&format!("bad number {text:?}")))?;
-                Ok(Scalar::Num(text.to_string()))
-            }
-            _ => Err(Self::err("expected a scalar value")),
-        }
-    }
-
-    fn literal(&mut self, word: &str) -> Result<(), ProtocolError> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(())
-        } else {
-            Err(Self::err(&format!("expected {word}")))
-        }
-    }
-
-    fn object(&mut self) -> Result<BTreeMap<String, Scalar>, ProtocolError> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-        } else {
-            loop {
-                let key = self.string()?;
-                self.expect(b':')?;
-                let value = self.scalar()?;
-                map.insert(key, value);
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        break;
-                    }
-                    _ => return Err(Self::err("expected ',' or '}'")),
-                }
-            }
-        }
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err(Self::err("trailing bytes after object"));
-        }
-        Ok(map)
-    }
-}
-
+/// A decoded message's fields, with typed, protocol-error accessors.
 struct Fields(BTreeMap<String, Scalar>);
 
 impl Fields {
     fn parse(text: &str) -> Result<Fields, ProtocolError> {
-        Ok(Fields(Parser::new(text).object()?))
+        parse_object(text)
+            .map(Fields)
+            .map_err(|e| ProtocolError::Json(e.0))
     }
 
-    fn msg_type(&self) -> Result<&str, ProtocolError> {
-        match self.0.get("type") {
-            Some(Scalar::Str(s)) => Ok(s),
-            Some(_) => Err(ProtocolError::BadField("type")),
-            None => Err(ProtocolError::MissingField("type")),
-        }
+    fn get<'a, T>(
+        &'a self,
+        key: &'static str,
+        typed: impl FnOnce(&'a Scalar) -> Option<T>,
+    ) -> Result<T, ProtocolError> {
+        let value = self.0.get(key).ok_or(ProtocolError::MissingField(key))?;
+        typed(value).ok_or(ProtocolError::BadField(key))
     }
 
     fn str(&self, key: &'static str) -> Result<&str, ProtocolError> {
-        match self.0.get(key) {
-            Some(Scalar::Str(s)) => Ok(s),
-            Some(_) => Err(ProtocolError::BadField(key)),
-            None => Err(ProtocolError::MissingField(key)),
-        }
+        self.get(key, Scalar::as_str)
     }
 
     fn u64(&self, key: &'static str) -> Result<u64, ProtocolError> {
-        match self.0.get(key) {
-            Some(Scalar::Num(text)) => text.parse().map_err(|_| ProtocolError::BadField(key)),
-            Some(_) => Err(ProtocolError::BadField(key)),
-            None => Err(ProtocolError::MissingField(key)),
-        }
+        self.get(key, Scalar::as_u64)
     }
 
     fn f64(&self, key: &'static str) -> Result<f64, ProtocolError> {
-        match self.0.get(key) {
-            Some(Scalar::Num(text)) => text.parse().map_err(|_| ProtocolError::BadField(key)),
-            Some(_) => Err(ProtocolError::BadField(key)),
-            None => Err(ProtocolError::MissingField(key)),
-        }
+        self.get(key, Scalar::as_f64)
     }
 
     fn bool(&self, key: &'static str) -> Result<bool, ProtocolError> {
-        match self.0.get(key) {
-            Some(Scalar::Bool(b)) => Ok(*b),
-            Some(_) => Err(ProtocolError::BadField(key)),
-            None => Err(ProtocolError::MissingField(key)),
-        }
+        self.get(key, Scalar::as_bool)
     }
 }
 
 /// Renders a request as its one-line JSON message.
 pub fn encode_request(req: &Request) -> String {
     match req {
-        Request::Submit(spec) => MessageBuilder::new("submit")
+        Request::Submit(spec) => message("submit")
             .u64("seed", spec.seed)
             .u64("chips", spec.chips)
             .str("variant", spec.variant.label())
@@ -580,18 +322,18 @@ pub fn encode_request(req: &Request) -> String {
             .str("key", &spec.key)
             .u64("deadline_ms", spec.deadline_ms)
             .finish(),
-        Request::Stats => MessageBuilder::new("stats").finish(),
-        Request::Metrics => MessageBuilder::new("metrics").finish(),
-        Request::Watch { job } => MessageBuilder::new("watch").u64("job", *job).finish(),
-        Request::Cancel { job } => MessageBuilder::new("cancel").u64("job", *job).finish(),
-        Request::Shutdown => MessageBuilder::new("shutdown").finish(),
+        Request::Stats => message("stats").finish(),
+        Request::Metrics => message("metrics").finish(),
+        Request::Watch { job } => message("watch").u64("job", *job).finish(),
+        Request::Cancel { job } => message("cancel").u64("job", *job).finish(),
+        Request::Shutdown => message("shutdown").finish(),
     }
 }
 
 /// Decodes a request message. Never panics, whatever the input.
 pub fn decode_request(text: &str) -> Result<Request, ProtocolError> {
     let fields = Fields::parse(text)?;
-    match fields.msg_type()? {
+    match fields.str("type")? {
         "submit" => {
             let variant = ControllerVariant::parse(fields.str("variant")?)
                 .ok_or(ProtocolError::BadField("variant"))?;
@@ -626,7 +368,7 @@ pub fn decode_request(text: &str) -> Result<Request, ProtocolError> {
 /// Renders a response as its one-line JSON message.
 pub fn encode_response(resp: &Response) -> String {
     match resp {
-        Response::Submitted { job, deduped } => MessageBuilder::new("submitted")
+        Response::Submitted { job, deduped } => message("submitted")
             .u64("job", *job)
             .bool("deduped", *deduped)
             .finish(),
@@ -636,14 +378,14 @@ pub fn encode_response(resp: &Response) -> String {
             cap,
             retry_after_ms,
             parked,
-        } => MessageBuilder::new("busy")
+        } => message("busy")
             .u64("running", *running)
             .u64("queued", *queued)
             .u64("cap", *cap)
             .u64("retry_after_ms", *retry_after_ms)
             .bool("parked", *parked)
             .finish(),
-        Response::Stats(s) => MessageBuilder::new("stats")
+        Response::Stats(s) => message("stats")
             .u64("running", s.running)
             .u64("queued", s.queued)
             .u64("completed", s.completed)
@@ -654,14 +396,14 @@ pub fn encode_response(resp: &Response) -> String {
             .u64("workers", s.workers)
             .u64("queue_cap", s.queue_cap)
             .finish(),
-        Response::Metrics { text } => MessageBuilder::new("metrics").str("text", text).finish(),
+        Response::Metrics { text } => message("metrics").str("text", text).finish(),
         Response::Chip {
             job,
             chip,
             completed,
             total,
             event,
-        } => MessageBuilder::new("chip")
+        } => message("chip")
             .u64("job", *job)
             .u64("chip", *chip)
             .u64("completed", *completed)
@@ -674,30 +416,30 @@ pub fn encode_response(resp: &Response) -> String {
             resumed,
             mean_vdd_reduction,
             violations,
-        } => MessageBuilder::new("done")
+        } => message("done")
             .u64("job", *job)
             .u64("chips", *chips)
             .u64("resumed", *resumed)
             .f64("mean_vdd_reduction", *mean_vdd_reduction)
             .u64("violations", *violations)
             .finish(),
-        Response::Cancelled { job, chips } => MessageBuilder::new("cancelled")
+        Response::Cancelled { job, chips } => message("cancelled")
             .u64("job", *job)
             .u64("chips", *chips)
             .finish(),
-        Response::Failed { job, error } => MessageBuilder::new("failed")
+        Response::Failed { job, error } => message("failed")
             .u64("job", *job)
             .str("error", error)
             .finish(),
-        Response::Error { msg } => MessageBuilder::new("error").str("msg", msg).finish(),
-        Response::Bye => MessageBuilder::new("bye").finish(),
+        Response::Error { msg } => message("error").str("msg", msg).finish(),
+        Response::Bye => message("bye").finish(),
     }
 }
 
 /// Decodes a response message. Never panics, whatever the input.
 pub fn decode_response(text: &str) -> Result<Response, ProtocolError> {
     let fields = Fields::parse(text)?;
-    match fields.msg_type()? {
+    match fields.str("type")? {
         "submitted" => Ok(Response::Submitted {
             job: fields.u64("job")?,
             // Lenient: an old daemon never dedupes.

@@ -27,6 +27,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 use vs_faults::FaultSpec;
 use vs_fleet::{FleetConfig, FleetRunner};
+use vs_guard::vfs::VfsHandle;
 use vs_guard::CancelToken;
 use vs_obs::{names, render_prometheus};
 use vs_telemetry::{MetricsRegistry, TelemetryEvent};
@@ -377,7 +378,7 @@ impl Scheduler {
     /// holds at every quiescent point.
     pub fn metrics(&self) -> String {
         let inner = &self.inner;
-        let fs_faults = vs_guard::fsfault::counters();
+        let fs_faults = inner.store.vfs().faults().counters();
         let store_counters = inner.store.counters();
         let mut reg = MetricsRegistry::new();
         let counters = [
@@ -509,12 +510,9 @@ fn store_writable(store: &FleetStore) -> bool {
     let vfs = store.vfs();
     let probe = store.dir().join(".admission-probe");
     let ok = (|| -> std::io::Result<()> {
-        match vfs.faults().write_fault(&probe, 2)? {
-            vs_guard::fsfault::WriteFault::Intact => vfs
-                .open_write(&probe, vs_guard::vfs::OpenMode::Truncate)?
-                .write_all(b"ok"),
-            vs_guard::fsfault::WriteFault::Short(_) => Err(vs_guard::fsfault::short_write_error()),
-        }
+        vfs.faults().write_permit(&probe)?.intact()?;
+        vfs.open_write(&probe, vs_guard::vfs::OpenMode::Truncate)?
+            .write_all(b"ok")
     })();
     let _ = vfs.remove_file(&probe);
     ok.is_ok()
@@ -611,7 +609,8 @@ fn job_terminal(inner: &SchedInner, job: &Job) -> Response {
         // both always on — a postmortem is most valuable for the job
         // nobody thought to instrument.
         .with_spans(job.id)
-        .with_flight_recorder(inner.store.dir().join("postmortem"));
+        .with_flight_recorder(inner.store.dir().join("postmortem"))
+        .with_vfs(VfsHandle::clone(inner.store.vfs()));
     // The effective deadline is the tighter of the daemon's configured
     // one and the deadline the client propagated with the spec.
     let mut deadline = inner.config.deadline;
@@ -876,9 +875,9 @@ mod tests {
 
     #[test]
     fn enospc_parks_admissions_until_the_store_recovers() {
-        let _serial = crate::FSFAULT_TEST_LOCK.lock().unwrap();
         let dir = scratch("park");
-        let store = FleetStore::open(&dir).unwrap();
+        let vfs: VfsHandle = Arc::new(vs_guard::vfs::StdFs::new());
+        let store = FleetStore::open_on(&vfs, &dir).unwrap();
         store.vfs().faults().install(
             &dir,
             vs_guard::fsfault::FsFaultPlan {
@@ -921,6 +920,43 @@ mod tests {
         assert!(snap.value("voltspec_guard_fs_enospc_injected").unwrap() >= 1.0);
         sched.shutdown();
         sched.join();
+    }
+
+    #[test]
+    fn jobs_write_through_the_store_backend() {
+        use vs_guard::vfs::{SimFs, SimOp};
+        // A directory that must never appear on the real filesystem: a
+        // job that bypassed the store's backend would fail to create its
+        // journal there (or, worse, succeed somewhere else).
+        let dir = std::env::temp_dir().join("vs-fleetd-sched-tests-simfs-only");
+        let _ = fs::remove_dir_all(&dir);
+        let sim = Arc::new(SimFs::new());
+        let vfs: VfsHandle = Arc::clone(&sim) as VfsHandle;
+        let store = FleetStore::open_on(&vfs, &dir).unwrap();
+        let config = config_for(&spec(2));
+        let (journal, ckpt) = (store.journal_path(&config), store.checkpoint_path(&config));
+        let sched = Scheduler::start(SchedulerConfig::default(), store);
+        let id = sched.submit(spec(2)).unwrap().unwrap().job;
+        let events = drain(&sched, id);
+        sched.shutdown();
+        sched.join();
+        match events.last().unwrap() {
+            Response::Done { chips, .. } => assert_eq!(*chips, 2),
+            other => panic!("expected Done on a SimFs store, got {other:?}"),
+        }
+        let ops = sim.ops();
+        let wrote = |path: &std::path::Path| {
+            ops.iter()
+                .any(|op| matches!(op, SimOp::Write { path: p, .. } if p == path))
+        };
+        assert!(wrote(&journal), "journal appends reach the SimFs");
+        assert!(
+            ops.iter()
+                .any(|op| matches!(op, SimOp::Rename { to, .. } if *to == ckpt)),
+            "the checkpoint save lands on the SimFs"
+        );
+        assert!(sim.snapshot().files.contains_key(&ckpt));
+        assert!(!dir.exists(), "nothing was created on the real filesystem");
     }
 
     #[test]

@@ -2,35 +2,35 @@
 //! testing the daemon tier.
 //!
 //! The durable-write paths guarded by this crate (journal appends,
-//! checkpoint saves, postmortem bundles) consult a [`FaultState`] before
-//! touching the disk. When no plan is installed the consultation is a
-//! single relaxed atomic load — the production fast path. A torture
-//! harness installs an [`FsFaultPlan`] scoped to a directory prefix, and
-//! writes under that prefix then consume the plan's fault budget in a
-//! fixed, deterministic order:
+//! checkpoint saves, postmortem bundles) take a [`WritePermit`] from
+//! their filesystem's [`FaultState`] before touching the disk. When no
+//! plan is installed that is a single relaxed atomic load — the
+//! production fast path. A torture harness installs an [`FsFaultPlan`]
+//! scoped to a directory prefix, and writes under that prefix then
+//! consume the plan's fault budget in a fixed, deterministic order:
 //!
 //! 1. **ENOSPC** — the write fails up front with a "no space left on
-//!    device" error; nothing reaches the file. Callers classify this by
-//!    the error text and can park new work until space returns.
-//! 2. **Short writes** — only a prefix of the payload reaches the file
-//!    before the write fails, simulating a power-loss truncation point:
-//!    the torn prefix *is* durable, exactly what a crash mid-`write(2)`
-//!    leaves behind, so replay-side truncation detection gets exercised.
+//!    device" error; nothing reaches the file, and no file is created.
+//!    Callers classify this by the error text and can park new work
+//!    until space returns.
+//! 2. **Short writes** — only the first half of the payload reaches the
+//!    file before the write fails, simulating a power-loss truncation
+//!    point: [`WritePermit::write`] makes the torn prefix durable,
+//!    exactly what a crash mid-`write(2)` leaves behind, so replay-side
+//!    truncation detection gets exercised.
 //! 3. **Fsync failures** — the data may be in the page cache but the
 //!    durability barrier fails; acknowledgement must not be sent.
 //!
 //! Fault state is **per [`crate::vfs::Vfs`] instance**: every backend
-//! owns a [`FaultState`], so plans against a simulated filesystem
-//! compose with plans against the real one (and with each other). The
-//! production [`crate::vfs::StdFs`] backend shares one process-global
-//! state ([`global`]), which the deprecated free functions (kept for the
-//! daemon's `--torture` wiring) also target.
-//!
-//! Injected faults are tallied in process-wide monotone counters
-//! ([`counters`]) so the observability plane can prove every injected
-//! fault was accounted for — tallies are global even though budgets are
-//! per-instance, because Prometheus counters must never go backwards.
+//! owns a [`FaultState`], so a plan installed on one handle never
+//! reaches another, and harnesses that need faults build their own
+//! handle instead of sharing a process-wide slot. Each state also keeps
+//! monotone tallies of the faults it injected ([`FaultState::counters`])
+//! so the observability plane can prove every injected fault was
+//! accounted for; a daemon's store handle lives as long as the daemon,
+//! so the tallies it scrapes never go backwards.
 
+use crate::vfs::VfsFile;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -55,8 +55,8 @@ impl FsFaultPlan {
     }
 }
 
-/// Process-wide tallies of faults injected since startup (monotone, never
-/// reset — suitable for Prometheus counters).
+/// Tallies of the faults one [`FaultState`] injected since it was
+/// created (monotone, never reset — suitable for Prometheus counters).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FsFaultCounters {
     /// ENOSPC errors injected.
@@ -74,20 +74,39 @@ impl FsFaultCounters {
     }
 }
 
-/// What a hooked write should do, as decided by the installed plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WriteFault {
-    /// No fault: perform the write normally.
-    Intact,
-    /// Write only the first `n` bytes of the payload, then fail with
-    /// [`short_write_error`]. The prefix should be made durable first —
-    /// that is what a real power loss leaves behind.
-    Short(usize),
+/// The plan's verdict on one logical durable write, taken before the
+/// target file is opened (so an injected ENOSPC never creates a file)
+/// and spent by performing the write.
+#[derive(Debug)]
+#[must_use = "a permit decides how the write lands; perform it"]
+pub struct WritePermit {
+    torn: bool,
 }
 
-static INJECTED_ENOSPC: AtomicU64 = AtomicU64::new(0);
-static INJECTED_SHORT: AtomicU64 = AtomicU64::new(0);
-static INJECTED_FSYNC: AtomicU64 = AtomicU64::new(0);
+impl WritePermit {
+    /// Writes `bytes` to `file` whole — or, under an injected short
+    /// write, only the first half, made durable as a power loss would
+    /// leave it, then fails with a `WriteZero` "short write" error.
+    pub fn write(self, file: &mut dyn VfsFile, bytes: &[u8]) -> io::Result<()> {
+        if !self.torn {
+            return file.write_all(bytes);
+        }
+        file.write_all(&bytes[..bytes.len() / 2])?;
+        file.flush()?;
+        let _ = file.sync();
+        Err(short_write_error())
+    }
+
+    /// For writes no prefix of which is usable (a journal header, a
+    /// reopen, a writability probe): an injected short write fails
+    /// outright, before anything is opened or written.
+    pub fn intact(self) -> io::Result<()> {
+        if self.torn {
+            return Err(short_write_error());
+        }
+        Ok(())
+    }
+}
 
 #[derive(Debug)]
 struct Scope {
@@ -96,24 +115,25 @@ struct Scope {
 }
 
 /// Per-filesystem-instance fault-injection state: at most one installed
-/// [`FsFaultPlan`] scoped to a directory prefix.
+/// [`FsFaultPlan`] scoped to a directory prefix, plus the tallies of
+/// what it injected.
 ///
-/// With no plan installed, [`FaultState::write_fault`] and
+/// With no plan installed, [`FaultState::write_permit`] and
 /// [`FaultState::sync_fault`] are a single relaxed atomic load — safe on
 /// the production hot path.
 #[derive(Debug, Default)]
 pub struct FaultState {
     active: AtomicBool,
     scope: Mutex<Option<Scope>>,
+    injected_enospc: AtomicU64,
+    injected_short: AtomicU64,
+    injected_fsync: AtomicU64,
 }
 
 impl FaultState {
-    /// A fresh state with no plan installed (const: usable in statics).
-    pub const fn new() -> FaultState {
-        FaultState {
-            active: AtomicBool::new(false),
-            scope: Mutex::new(None),
-        }
+    /// A fresh state with no plan installed and zero tallies.
+    pub fn new() -> FaultState {
+        FaultState::default()
     }
 
     /// Installs `plan` for every durable write whose target path starts
@@ -127,7 +147,7 @@ impl FaultState {
         self.active.store(!plan.is_empty(), Ordering::Release);
     }
 
-    /// Removes the installed plan (idempotent).
+    /// Removes the installed plan (idempotent). The tallies are kept.
     pub fn uninstall(&self) {
         let mut state = self.scope.lock().unwrap();
         *state = None;
@@ -139,33 +159,44 @@ impl FaultState {
         self.scope.lock().unwrap().as_ref().map(|s| s.remaining)
     }
 
-    /// Consults the plan before a durable write of `len` bytes to `path`.
+    /// The faults this state has injected so far.
+    pub fn counters(&self) -> FsFaultCounters {
+        FsFaultCounters {
+            enospc: self.injected_enospc.load(Ordering::Relaxed),
+            short_writes: self.injected_short.load(Ordering::Relaxed),
+            fsync_failures: self.injected_fsync.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Consults the plan before one logical durable write to `path`,
+    /// consuming at most one unit of write budget.
     ///
-    /// Returns `Err` for an injected ENOSPC (nothing must be written),
-    /// `Ok(WriteFault::Short(n))` when only the first `n` bytes should
-    /// land, and `Ok(WriteFault::Intact)` otherwise.
-    pub fn write_fault(&self, path: &Path, len: usize) -> io::Result<WriteFault> {
+    /// Returns `Err` for an injected ENOSPC (nothing must be opened or
+    /// written); otherwise a [`WritePermit`] that performs the write,
+    /// torn if the plan scheduled a short write.
+    pub fn write_permit(&self, path: &Path) -> io::Result<WritePermit> {
+        let intact = WritePermit { torn: false };
         if !self.active.load(Ordering::Acquire) {
-            return Ok(WriteFault::Intact);
+            return Ok(intact);
         }
         let mut state = self.scope.lock().unwrap();
         let Some(scope) = state.as_mut() else {
-            return Ok(WriteFault::Intact);
+            return Ok(intact);
         };
         if !path.starts_with(&scope.prefix) {
-            return Ok(WriteFault::Intact);
+            return Ok(intact);
         }
         if scope.remaining.enospc > 0 {
             scope.remaining.enospc -= 1;
-            INJECTED_ENOSPC.fetch_add(1, Ordering::Relaxed);
+            self.injected_enospc.fetch_add(1, Ordering::Relaxed);
             return Err(enospc_error());
         }
         if scope.remaining.short_writes > 0 {
             scope.remaining.short_writes -= 1;
-            INJECTED_SHORT.fetch_add(1, Ordering::Relaxed);
-            return Ok(WriteFault::Short(len / 2));
+            self.injected_short.fetch_add(1, Ordering::Relaxed);
+            return Ok(WritePermit { torn: true });
         }
-        Ok(WriteFault::Intact)
+        Ok(intact)
     }
 
     /// Consults the plan before an fsync of `path`; `Err` means the
@@ -183,75 +214,10 @@ impl FaultState {
         }
         if scope.remaining.fsync_failures > 0 {
             scope.remaining.fsync_failures -= 1;
-            INJECTED_FSYNC.fetch_add(1, Ordering::Relaxed);
+            self.injected_fsync.fetch_add(1, Ordering::Relaxed);
             return Err(fsync_error());
         }
         Ok(())
-    }
-}
-
-/// The fault state shared by every [`crate::vfs::StdFs`] handle — the
-/// process-global slot the daemon's `--torture` flag installs into.
-pub fn global() -> &'static FaultState {
-    static GLOBAL: FaultState = FaultState::new();
-    &GLOBAL
-}
-
-/// Uninstalls the global plan when dropped, so a panicking test cannot
-/// leak faults into its neighbours.
-#[derive(Debug)]
-pub struct FsFaultGuard(());
-
-impl Drop for FsFaultGuard {
-    fn drop(&mut self) {
-        global().uninstall();
-    }
-}
-
-/// Installs `plan` on the process-global [`FaultState`] (the one
-/// [`crate::vfs::StdFs`] consults).
-#[deprecated(
-    since = "0.1.0",
-    note = "install on a specific `Vfs` instance via `vfs.faults().install(..)`; \
-            the global slot only exists for `--torture` wiring"
-)]
-pub fn install(prefix: &Path, plan: FsFaultPlan) -> FsFaultGuard {
-    global().install(prefix, plan);
-    FsFaultGuard(())
-}
-
-/// Removes the global plan (idempotent).
-#[deprecated(since = "0.1.0", note = "use `vfs.faults().uninstall()`")]
-pub fn uninstall() {
-    global().uninstall();
-}
-
-/// The global fault budget still unconsumed, if a plan is installed.
-#[deprecated(since = "0.1.0", note = "use `vfs.faults().remaining()`")]
-pub fn remaining() -> Option<FsFaultPlan> {
-    global().remaining()
-}
-
-/// Consults the global plan before a durable write (see
-/// [`FaultState::write_fault`]).
-#[deprecated(since = "0.1.0", note = "use `vfs.faults().write_fault(..)`")]
-pub fn write_fault(path: &Path, len: usize) -> io::Result<WriteFault> {
-    global().write_fault(path, len)
-}
-
-/// Consults the global plan before an fsync (see
-/// [`FaultState::sync_fault`]).
-#[deprecated(since = "0.1.0", note = "use `vfs.faults().sync_fault(..)`")]
-pub fn sync_fault(path: &Path) -> io::Result<()> {
-    global().sync_fault(path)
-}
-
-/// Process-wide injected-fault tallies.
-pub fn counters() -> FsFaultCounters {
-    FsFaultCounters {
-        enospc: INJECTED_ENOSPC.load(Ordering::Relaxed),
-        short_writes: INJECTED_SHORT.load(Ordering::Relaxed),
-        fsync_failures: INJECTED_FSYNC.load(Ordering::Relaxed),
     }
 }
 
@@ -266,7 +232,7 @@ pub fn enospc_error() -> io::Error {
 }
 
 /// The error a short (torn) write surfaces as after its durable prefix.
-pub fn short_write_error() -> io::Error {
+fn short_write_error() -> io::Error {
     io::Error::new(
         io::ErrorKind::WriteZero,
         "injected fault: short write (power-loss truncation)",
@@ -278,29 +244,36 @@ pub fn fsync_error() -> io::Error {
     io::Error::other("injected fault: fsync failed")
 }
 
-/// Serializes unit tests that install plans on the global slot.
-#[cfg(test)]
-pub(crate) static TEST_LOCK: Mutex<()> = Mutex::new(());
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vfs::{OpenMode, SimFs, Vfs};
 
-    // The global slot is process-wide; serialize the tests that use it.
-    use super::TEST_LOCK as LOCK;
+    /// Writes `bytes` to a fresh SimFs file through `state`'s permit and
+    /// returns the outcome plus what landed.
+    fn permitted_write(state: &FaultState, path: &Path, bytes: &[u8]) -> (io::Result<()>, Vec<u8>) {
+        let sim = SimFs::new();
+        let result = state.write_permit(path).and_then(|permit| {
+            let mut file = sim.open_write(path, OpenMode::Truncate)?;
+            permit.write(&mut *file, bytes)
+        });
+        (result, sim.read(path).unwrap_or_default())
+    }
 
     #[test]
     fn inactive_hooks_are_transparent() {
         let state = FaultState::new();
         let p = Path::new("/tmp/anywhere");
-        assert_eq!(state.write_fault(p, 100).unwrap(), WriteFault::Intact);
+        let (result, landed) = permitted_write(&state, p, b"0123456789");
+        assert!(result.is_ok());
+        assert_eq!(landed, b"0123456789");
         assert!(state.sync_fault(p).is_ok());
+        assert_eq!(state.counters(), FsFaultCounters::default());
     }
 
     #[test]
     fn budget_is_consumed_in_order_and_counted() {
         let state = FaultState::new();
-        let before = counters();
         let scope = Path::new("/tmp/vs-fsfault-scope");
         state.install(
             scope,
@@ -311,24 +284,56 @@ mod tests {
             },
         );
         let target = scope.join("store/x.journal");
-        // ENOSPC first…
-        let err = state.write_fault(&target, 10).unwrap_err();
-        assert!(err.to_string().contains("no space left"));
-        // …then the short write…
-        assert_eq!(
-            state.write_fault(&target, 10).unwrap(),
-            WriteFault::Short(5)
-        );
+        // ENOSPC first: nothing is opened, nothing lands…
+        let (result, landed) = permitted_write(&state, &target, b"0123456789");
+        assert!(result.unwrap_err().to_string().contains("no space left"));
+        assert!(landed.is_empty());
+        // …then the short write lands half the payload…
+        let (result, landed) = permitted_write(&state, &target, b"0123456789");
+        let err = result.unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
+        assert!(err.to_string().contains("short write"));
+        assert_eq!(landed, b"01234");
         // …then the budget is dry.
-        assert_eq!(state.write_fault(&target, 10).unwrap(), WriteFault::Intact);
+        let (result, landed) = permitted_write(&state, &target, b"0123456789");
+        assert!(result.is_ok());
+        assert_eq!(landed, b"0123456789");
         // Fsync budget is independent of the write budget.
         assert!(state.sync_fault(&target).is_err());
         assert!(state.sync_fault(&target).is_ok());
-        let after = counters();
-        assert_eq!(after.enospc - before.enospc, 1);
-        assert_eq!(after.short_writes - before.short_writes, 1);
-        assert_eq!(after.fsync_failures - before.fsync_failures, 1);
+        assert_eq!(
+            state.counters(),
+            FsFaultCounters {
+                enospc: 1,
+                short_writes: 1,
+                fsync_failures: 1,
+            }
+        );
         assert_eq!(state.remaining(), Some(FsFaultPlan::default()));
+        // Uninstalling drops the plan but never the tallies.
+        state.uninstall();
+        assert_eq!(state.remaining(), None);
+        assert_eq!(state.counters().total(), 3);
+    }
+
+    #[test]
+    fn intact_refuses_a_torn_write_outright() {
+        let state = FaultState::new();
+        let scope = Path::new("/tmp/vs-fsfault-intact");
+        state.install(
+            scope,
+            FsFaultPlan {
+                short_writes: 1,
+                ..Default::default()
+            },
+        );
+        let err = state.write_permit(&scope.join("h")).unwrap().intact();
+        assert_eq!(err.unwrap_err().kind(), io::ErrorKind::WriteZero);
+        assert!(state
+            .write_permit(&scope.join("h"))
+            .unwrap()
+            .intact()
+            .is_ok());
     }
 
     #[test]
@@ -342,7 +347,7 @@ mod tests {
             },
         );
         let outside = Path::new("/tmp/elsewhere/file");
-        assert_eq!(state.write_fault(outside, 10).unwrap(), WriteFault::Intact);
+        assert!(permitted_write(&state, outside, b"data").0.is_ok());
         assert!(state.sync_fault(outside).is_ok());
         // The budget was not consumed by the out-of-scope write.
         assert_eq!(
@@ -367,40 +372,10 @@ mod tests {
             },
         );
         let target = scope.join("f");
-        assert!(b.write_fault(&target, 4).is_ok(), "b has no plan");
-        assert!(a.write_fault(&target, 4).is_err(), "a consumed its own");
+        assert!(b.write_permit(&target).is_ok(), "b has no plan");
+        assert!(a.write_permit(&target).is_err(), "a consumed its own");
         assert_eq!(b.remaining(), None);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn global_shim_targets_the_stdfs_state_and_uninstalls_on_drop() {
-        let _l = LOCK.lock().unwrap();
-        let scope = Path::new("/tmp/vs-fsfault-global");
-        {
-            let _g = install(
-                scope,
-                FsFaultPlan {
-                    enospc: 2,
-                    ..Default::default()
-                },
-            );
-            // The shim and the StdFs-shared state are the same slot.
-            assert!(global().write_fault(&scope.join("f"), 4).is_err());
-            assert_eq!(
-                remaining(),
-                Some(FsFaultPlan {
-                    enospc: 1,
-                    ..Default::default()
-                })
-            );
-        }
-        assert_eq!(global().remaining(), None, "guard uninstalls on drop");
-        assert_eq!(
-            write_fault(&scope.join("f"), 4).unwrap(),
-            WriteFault::Intact
-        );
-        assert!(sync_fault(&scope.join("f")).is_ok());
-        uninstall(); // idempotent
+        assert_eq!(a.counters().enospc, 1);
+        assert_eq!(b.counters(), FsFaultCounters::default());
     }
 }

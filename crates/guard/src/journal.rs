@@ -96,17 +96,13 @@ impl JournalWriter {
 
     /// Creates (truncating) a journal at `path` on `vfs` and durably
     /// writes the given raw header lines. Under an installed
-    /// [`crate::fsfault`] plan, creation consumes ENOSPC budget *before*
-    /// touching the file — a store that is out of space cannot start a
-    /// new journal, and the caller sees the failure up front rather than
-    /// mid-run.
+    /// [`crate::fsfault`] plan, creation consumes the header's write
+    /// budget *before* touching the file — a store that is out of space
+    /// cannot start a new journal, and the caller sees the failure up
+    /// front rather than mid-run. A torn header leaves no usable
+    /// journal, so a short write fails the creation outright.
     pub fn create_on(vfs: &VfsHandle, path: &Path, header: &[&str]) -> io::Result<JournalWriter> {
-        let header_len: usize = header.iter().map(|l| l.len() + 1).sum();
-        if let crate::fsfault::WriteFault::Short(_) = vfs.faults().write_fault(path, header_len)? {
-            // A torn header leaves no usable journal; surface it as the
-            // creation failing outright.
-            return Err(crate::fsfault::short_write_error());
-        }
+        vfs.faults().write_permit(path)?.intact()?;
         let file = vfs.open_write(path, OpenMode::Truncate)?;
         let mut writer = JournalWriter {
             path: path.to_path_buf(),
@@ -132,9 +128,7 @@ impl JournalWriter {
     /// like [`create_on`](JournalWriter::create_on); reopening on a full
     /// disk fails.
     pub fn open_append_on(vfs: &VfsHandle, path: &Path) -> io::Result<JournalWriter> {
-        if let crate::fsfault::WriteFault::Short(_) = vfs.faults().write_fault(path, 1)? {
-            return Err(crate::fsfault::short_write_error());
-        }
+        vfs.faults().write_permit(path)?.intact()?;
         let file = vfs.open_write(path, OpenMode::Append)?;
         Ok(JournalWriter {
             path: path.to_path_buf(),
@@ -152,17 +146,10 @@ impl JournalWriter {
     pub fn append(&mut self, payload: &str) -> io::Result<()> {
         let mut line = frame(payload);
         line.push('\n');
-        let bytes = line.as_bytes();
-        match self.vfs.faults().write_fault(&self.path, bytes.len())? {
-            crate::fsfault::WriteFault::Intact => self.file.write_all(bytes)?,
-            crate::fsfault::WriteFault::Short(n) => {
-                self.file.write_all(&bytes[..n])?;
-                // Make the torn prefix durable, as a real crash would.
-                self.file.flush()?;
-                let _ = self.file.sync();
-                return Err(crate::fsfault::short_write_error());
-            }
-        }
+        self.vfs
+            .faults()
+            .write_permit(&self.path)?
+            .write(&mut *self.file, line.as_bytes())?;
         self.sync()
     }
 
@@ -243,16 +230,15 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn injected_torn_append_is_durable_prefix_and_detected_on_replay() {
-        let _l = crate::fsfault::TEST_LOCK.lock().unwrap();
         let dir = std::env::temp_dir().join("vs-guard-journal-fsfault");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("torn.journal");
-        let mut w = JournalWriter::create(&path, &["magic v1"]).unwrap();
+        let vfs: VfsHandle = std::sync::Arc::new(vfs::StdFs::new());
+        let mut w = JournalWriter::create_on(&vfs, &path, &["magic v1"]).unwrap();
         w.append("record one").unwrap();
 
-        let _g = crate::fsfault::install(
+        vfs.faults().install(
             &dir,
             crate::fsfault::FsFaultPlan {
                 short_writes: 1,

@@ -28,11 +28,12 @@
 //!   loses at most the record being written (and that record is *detected*
 //!   as truncated or corrupt on replay, never silently mis-parsed).
 //! * **Filesystem fault injection** — the [`fsfault`] module ("FaultyFs"):
-//!   every durable write path above consults a deterministic, counted
-//!   fault budget (ENOSPC, short/torn writes, fsync failures) scoped to a
-//!   directory prefix, so torture harnesses can prove the recovery story
-//!   end to end. With no plan installed the hook is one atomic load.
-//!   Fault state is per-[`vfs::Vfs`]-instance so plans compose.
+//!   every durable write path above takes a [`fsfault::WritePermit`]
+//!   from a deterministic, counted fault budget (ENOSPC, short/torn
+//!   writes, fsync failures) scoped to a directory prefix, so torture
+//!   harnesses can prove the recovery story end to end. With no plan
+//!   installed the hook is one atomic load. Fault state belongs to one
+//!   [`vfs::Vfs`] instance; there is no process-global slot.
 //! * **Crash-consistency checking** — the [`vfs`] module's [`vfs::Vfs`]
 //!   seam routes every durable write through either the real filesystem
 //!   ([`vfs::StdFs`]) or a deterministic recorder ([`vfs::SimFs`]) that

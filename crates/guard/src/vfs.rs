@@ -34,7 +34,7 @@
 //! Durability code is written against [`VfsHandle`] (an `Arc<dyn Vfs>`)
 //! so a recording [`SimFs`] and the real [`StdFs`] are interchangeable.
 
-use crate::fsfault::{self, FaultState};
+use crate::fsfault::FaultState;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -130,21 +130,32 @@ pub trait Vfs: fmt::Debug + Send + Sync {
 /// A shared, clonable handle to a [`Vfs`] backend.
 pub type VfsHandle = Arc<dyn Vfs>;
 
-/// The process-wide production backend (one shared [`StdFs`]).
+/// The process-wide default production backend: one shared [`StdFs`]
+/// that never has a fault plan installed. Code that injects faults
+/// builds its own `Arc::new(StdFs::new())` and installs the plan there.
 pub fn std_fs() -> VfsHandle {
     static STD: OnceLock<VfsHandle> = OnceLock::new();
-    Arc::clone(STD.get_or_init(|| Arc::new(StdFs)))
+    Arc::clone(STD.get_or_init(|| Arc::new(StdFs::new())))
 }
 
 // ---------------------------------------------------------------------------
 // StdFs: the production backend.
 // ---------------------------------------------------------------------------
 
-/// The real filesystem. All methods forward to `std::fs`; the fault
-/// state is the process-global FaultyFs slot, so the existing `--torture`
-/// wiring keeps working unchanged.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct StdFs;
+/// The real filesystem. All methods forward to `std::fs`; each instance
+/// owns its own [`FaultState`], so a plan installed on one handle (a
+/// torture case's store, say) never reaches writes made through another.
+#[derive(Debug, Default)]
+pub struct StdFs {
+    faults: FaultState,
+}
+
+impl StdFs {
+    /// A real-filesystem backend with its own, empty fault state.
+    pub fn new() -> StdFs {
+        StdFs::default()
+    }
+}
 
 #[derive(Debug)]
 struct StdFile(File);
@@ -234,7 +245,7 @@ impl Vfs for StdFs {
     }
 
     fn faults(&self) -> &FaultState {
-        fsfault::global()
+        &self.faults
     }
 }
 
@@ -841,15 +852,15 @@ mod tests {
         let (_b, vfs_b) = sim();
         vfs_a.faults().install(
             Path::new("/vsim"),
-            fsfault::FsFaultPlan {
+            crate::fsfault::FsFaultPlan {
                 enospc: 1,
                 ..Default::default()
             },
         );
         let p = Path::new("/vsim/x");
-        assert!(vfs_a.faults().write_fault(p, 8).is_err());
+        assert!(vfs_a.faults().write_permit(p).is_err());
         assert!(
-            vfs_b.faults().write_fault(p, 8).is_ok(),
+            vfs_b.faults().write_permit(p).is_ok(),
             "instance B has its own empty fault state"
         );
     }
@@ -876,5 +887,32 @@ mod tests {
         assert!(vfs.exists(&renamed) && !vfs.exists(&p));
         vfs.remove_file(&renamed).unwrap();
         assert!(!vfs.exists(&renamed));
+    }
+
+    #[test]
+    fn std_fs_instances_with_plans_over_one_prefix_do_not_interfere() {
+        let dir = std::env::temp_dir().join("vs-guard-vfs-two-stdfs");
+        let a: VfsHandle = Arc::new(StdFs::new());
+        let b: VfsHandle = Arc::new(StdFs::new());
+        let plan = |enospc| crate::fsfault::FsFaultPlan {
+            enospc,
+            ..Default::default()
+        };
+        a.faults().install(&dir, plan(1));
+        b.faults().install(&dir, plan(2));
+        let target = dir.join("f");
+        assert!(a.faults().write_permit(&target).is_err());
+        // A spent its one unit; B's budget is untouched by A's write...
+        assert_eq!(a.faults().remaining(), Some(plan(0)));
+        assert_eq!(b.faults().remaining(), Some(plan(2)));
+        assert!(a.faults().write_permit(&target).is_ok());
+        // ...and B consumes only its own, counting only its own.
+        assert!(b.faults().write_permit(&target).is_err());
+        assert_eq!(b.faults().remaining(), Some(plan(1)));
+        assert_eq!(a.faults().counters().enospc, 1);
+        assert_eq!(b.faults().counters().enospc, 1);
+        // Neither plan reaches the shared default handle.
+        assert!(std_fs().faults().write_permit(&target).is_ok());
+        assert_eq!(std_fs().faults().remaining(), None);
     }
 }

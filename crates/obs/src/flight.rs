@@ -21,6 +21,7 @@ use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use vs_guard::{frame, unframe, FrameError};
 use vs_telemetry::TelemetryEvent;
+use vs_types::json::{parse_object, ObjectWriter, Scalar};
 
 /// Default flight-recorder ring capacity: the last N events per chip
 /// kept for a postmortem. Small enough to dump instantly, large enough
@@ -128,99 +129,24 @@ impl PostmortemBundle {
     /// object per violation, one object per event.
     pub fn to_lines(&self) -> Vec<String> {
         let mut lines = Vec::with_capacity(1 + self.violations.len() + self.events.len());
-        lines.push(format!(
-            "{{\"postmortem\":1,\"trigger\":\"{}\",\"chip\":{},\"fingerprint\":\"{:016x}\",\
-             \"detail\":\"{}\",\"dropped\":{},\"violations\":{},\"events\":{}}}",
-            self.trigger,
-            self.chip,
-            self.fingerprint,
-            escape_json(&self.detail),
-            self.dropped,
-            self.violations.len(),
-            self.events.len()
-        ));
+        lines.push(
+            ObjectWriter::new()
+                .u64("postmortem", 1)
+                .str("trigger", self.trigger.label())
+                .u64("chip", self.chip)
+                .str("fingerprint", &format!("{:016x}", self.fingerprint))
+                .str("detail", &self.detail)
+                .u64("dropped", self.dropped)
+                .u64("violations", self.violations.len() as u64)
+                .u64("events", self.events.len() as u64)
+                .finish(),
+        );
         for v in &self.violations {
-            lines.push(format!("{{\"violation\":\"{}\"}}", escape_json(v)));
+            lines.push(ObjectWriter::new().str("violation", v).finish());
         }
         lines.extend(self.events.iter().cloned());
         lines
     }
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Un-escapes what [`escape_json`] produced.
-fn unescape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('"') => out.push('"'),
-            Some('\\') => out.push('\\'),
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('t') => out.push('\t'),
-            Some('u') => {
-                let hex: String = chars.by_ref().take(4).collect();
-                if let Some(c) = u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32) {
-                    out.push(c);
-                }
-            }
-            Some(other) => out.push(other),
-            None => {}
-        }
-    }
-    out
-}
-
-/// Extracts a string field from one flat JSON object line (the bundle's
-/// own header shape — not a general JSON parser).
-fn json_str(line: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":\"");
-    let start = line.find(&needle)? + needle.len();
-    let rest = &line[start..];
-    let mut end = 0;
-    let bytes = rest.as_bytes();
-    while end < bytes.len() {
-        match bytes[end] {
-            b'\\' => end += 2,
-            b'"' => return Some(unescape_json(&rest[..end])),
-            _ => end += 1,
-        }
-    }
-    None
-}
-
-/// Extracts an unsigned integer field from one flat JSON object line.
-fn json_u64(line: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let start = line.find(&needle)? + needle.len();
-    let digits: String = line[start..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
 }
 
 /// Why a bundle failed to load.
@@ -290,17 +216,12 @@ pub fn write_bundle_on(
     // FaultyFs consultation (keyed on the final path): a failed bundle
     // write degrades gracefully upstream — the runner records the loss
     // in the degradation report instead of failing the job.
-    let fault = vfs.faults().write_fault(&path, text.len())?;
+    let permit = vfs.faults().write_permit(&path)?;
     let mut file = vfs.open_write(&tmp, OpenMode::Truncate)?;
-    match fault {
-        vs_guard::fsfault::WriteFault::Intact => file.write_all(text.as_bytes())?,
-        vs_guard::fsfault::WriteFault::Short(n) => {
-            file.write_all(&text.as_bytes()[..n])?;
-            let _ = file.sync();
-            drop(file);
-            let _ = vfs.remove_file(&tmp);
-            return Err(vs_guard::fsfault::short_write_error());
-        }
+    if let Err(e) = permit.write(&mut *file, text.as_bytes()) {
+        drop(file);
+        let _ = vfs.remove_file(&tmp);
+        return Err(e);
     }
     vfs.faults().sync_fault(&path)?;
     file.flush()?;
@@ -324,23 +245,30 @@ pub fn read_bundle(path: &Path) -> Result<PostmortemBundle, BundleError> {
     let header = lines
         .first()
         .ok_or_else(|| BundleError::Malformed("empty bundle".into()))?;
-    if json_u64(header, "postmortem") != Some(1) {
-        return Err(BundleError::Malformed(
-            "header is not a postmortem v1 object".into(),
-        ));
-    }
-    let trigger = json_str(header, "trigger")
-        .and_then(|t| PostmortemTrigger::parse(&t))
+    let header = parse_object(header)
+        .ok()
+        .filter(|h| h.get("postmortem").and_then(Scalar::as_u64) == Some(1))
+        .ok_or_else(|| BundleError::Malformed("header is not a postmortem v1 object".into()))?;
+    let field = |key: &str| header.get(key);
+    let count = |key: &str| field(key).and_then(Scalar::as_u64).unwrap_or(0);
+    let trigger = field("trigger")
+        .and_then(Scalar::as_str)
+        .and_then(PostmortemTrigger::parse)
         .ok_or_else(|| BundleError::Malformed("missing or unknown trigger".into()))?;
-    let chip =
-        json_u64(header, "chip").ok_or_else(|| BundleError::Malformed("missing chip".into()))?;
-    let fingerprint = json_str(header, "fingerprint")
-        .and_then(|h| u64::from_str_radix(&h, 16).ok())
+    let chip = field("chip")
+        .and_then(Scalar::as_u64)
+        .ok_or_else(|| BundleError::Malformed("missing chip".into()))?;
+    let fingerprint = field("fingerprint")
+        .and_then(Scalar::as_str)
+        .and_then(|h| u64::from_str_radix(h, 16).ok())
         .ok_or_else(|| BundleError::Malformed("missing fingerprint".into()))?;
-    let detail = json_str(header, "detail").unwrap_or_default();
-    let dropped = json_u64(header, "dropped").unwrap_or(0);
-    let n_violations = json_u64(header, "violations").unwrap_or(0) as usize;
-    let n_events = json_u64(header, "events").unwrap_or(0) as usize;
+    let detail = field("detail")
+        .and_then(Scalar::as_str)
+        .unwrap_or_default()
+        .to_string();
+    let dropped = count("dropped");
+    let n_violations = count("violations") as usize;
+    let n_events = count("events") as usize;
     let body = &lines[1..];
     if body.len() != n_violations + n_events {
         return Err(BundleError::Malformed(format!(
@@ -351,7 +279,13 @@ pub fn read_bundle(path: &Path) -> Result<PostmortemBundle, BundleError> {
     let violations = body[..n_violations]
         .iter()
         .map(|l| {
-            json_str(l, "violation")
+            parse_object(l)
+                .ok()
+                .and_then(|v| {
+                    v.get("violation")
+                        .and_then(Scalar::as_str)
+                        .map(str::to_string)
+                })
                 .ok_or_else(|| BundleError::Malformed("violation line without text".into()))
         })
         .collect::<Result<Vec<String>, BundleError>>()?;
@@ -415,6 +349,31 @@ mod tests {
         let before = fs::read(&path).unwrap();
         write_bundle(&dir, &bundle).unwrap();
         assert_eq!(fs::read(&path).unwrap(), before);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn hostile_text_round_trips_byte_exactly() {
+        let dir = scratch("hostile");
+        let mut b = PostmortemBundle::new(PostmortemTrigger::Violation, 9, 0xabc);
+        b.detail = "say \"hi\" \\ tab\tbell\u{7}nul\u{0} déjà 電圧 ⚡".into();
+        b.violations.push("cr\r\nlf \"q\" \u{1f} ünïcödé".into());
+        b.violations.push(String::new());
+        let lines = b.to_lines();
+        assert_eq!(
+            lines[0],
+            "{\"postmortem\":1,\"trigger\":\"violation\",\"chip\":9,\
+             \"fingerprint\":\"0000000000000abc\",\
+             \"detail\":\"say \\\"hi\\\" \\\\ tab\\tbell\\u0007nul\\u0000 déjà 電圧 ⚡\",\
+             \"dropped\":0,\"violations\":2,\"events\":0}"
+        );
+        assert_eq!(
+            lines[1],
+            "{\"violation\":\"cr\\r\\nlf \\\"q\\\" \\u001f ünïcödé\"}"
+        );
+        assert_eq!(lines[2], "{\"violation\":\"\"}");
+        let path = write_bundle(&dir, &b).unwrap();
+        assert_eq!(read_bundle(&path).unwrap(), b);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -14,7 +14,9 @@
 //!   observation, §II-D);
 //! * small statistics helpers ([`stats`]) — Gaussian sampling, logistic
 //!   response, Gaussian order statistics — that the SRAM failure model is
-//!   built on.
+//!   built on;
+//! * a std-only flat-object JSON codec ([`json`]) shared by the fleet
+//!   daemon's wire protocol and the postmortem bundle format.
 //!
 //! # Examples
 //!
@@ -39,6 +41,7 @@
 pub mod config;
 pub mod fleet;
 pub mod ids;
+pub mod json;
 pub mod mask;
 pub mod mode;
 pub mod rng;
