@@ -1,10 +1,10 @@
-//! Micro-benchmarks for the platform simulation engine: tick throughput
-//! and weak-line table construction.
+//! Micro-benchmarks for the platform simulation engine: tick throughput,
+//! the cell-bank ranking scan, and monitor probes.
 
 use vs_bench::timing::{black_box, Runner};
 use vs_cache::CacheGeometry;
-use vs_platform::{Chip, ChipConfig, WeakLineTable};
-use vs_sram::{ChipVariation, SramParams};
+use vs_platform::{Chip, ChipConfig};
+use vs_sram::{CellBank, ChipVariation, SramParams};
 use vs_types::{CacheKind, CoreId, DomainId, Millivolts, VddMode};
 use vs_workload::StressTest;
 
@@ -13,11 +13,11 @@ fn main() {
 
     {
         let mut chip = Chip::new(ChipConfig::low_voltage(2014));
-        // Pre-build the lazily-constructed weak-line tables and settle the
+        // Pre-build the lazily-constructed cell banks and settle the
         // regulators so calibration-phase ticks are representative.
         for core in 0..8 {
             for kind in [CacheKind::L2Data, CacheKind::L2Instruction] {
-                let _ = chip.weak_table(CoreId(core), kind);
+                let _ = chip.cell_bank(CoreId(core), kind);
             }
         }
         for _ in 0..100 {
@@ -38,14 +38,15 @@ fn main() {
             let mut vc = f64::NEG_INFINITY;
             for core in cores {
                 vc = vc.max(
-                    chip.weak_table(core, CacheKind::L2Data)
-                        .first_error_voltage_mv(),
+                    chip.cell_bank(core, CacheKind::L2Data)
+                        .weakest()
+                        .weakest_vc_mv,
                 );
             }
             chip.request_domain_voltage(DomainId(d), Millivolts(vc as i32 - 10));
         }
         for core in 0..8 {
-            let _ = chip.weak_table(CoreId(core), CacheKind::L2Instruction);
+            let _ = chip.cell_bank(CoreId(core), CacheKind::L2Instruction);
         }
         for _ in 0..100 {
             chip.tick();
@@ -57,13 +58,16 @@ fn main() {
 
     {
         let variation = ChipVariation::new(2014, SramParams::default());
-        r.bench("weak_line_table_build/l2d_2048_lines", || {
-            black_box(WeakLineTable::build(
+        let geometry = CacheGeometry::l2_data();
+        r.bench("cell_bank_build/l2d_2048_lines", || {
+            black_box(CellBank::build(
                 &variation,
                 CoreId(0),
                 CacheKind::L2Data,
-                &CacheGeometry::l2_data(),
                 VddMode::LowVoltage,
+                geometry.sets,
+                geometry.ways,
+                geometry.words_per_line(),
                 24,
             ))
         });
@@ -71,10 +75,7 @@ fn main() {
 
     {
         let mut chip = Chip::new(ChipConfig::low_voltage(2014));
-        let weak = chip
-            .weak_table(CoreId(0), CacheKind::L2Data)
-            .weakest()
-            .clone();
+        let weak = *chip.cell_bank(CoreId(0), CacheKind::L2Data).weakest();
         chip.designate_monitor_line(CoreId(0), CacheKind::L2Data, weak.location);
         chip.request_domain_voltage(DomainId(0), Millivolts(weak.weakest_vc_mv as i32 + 10));
         chip.tick();

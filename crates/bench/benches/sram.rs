@@ -1,5 +1,5 @@
-//! Micro-benchmarks for the SRAM variation model — the inner loop of
-//! weak-line table construction and the analytic error path.
+//! Micro-benchmarks for the SRAM variation model — the scalar per-word
+//! cell derivation and the analytic error path.
 
 use vs_bench::timing::{black_box, Runner};
 use vs_sram::{line_read_probabilities, AccessContext, ChipVariation, SramParams};

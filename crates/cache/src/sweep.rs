@@ -157,12 +157,12 @@ mod tests {
     }
 
     /// Injector that flips one bit whenever a specific line is read.
-    struct OneWeakLine {
+    struct OneFlakyLine {
         kind: CacheKind,
         line: SetWay,
     }
 
-    impl Injector for OneWeakLine {
+    impl Injector for OneFlakyLine {
         fn flip_mask(&mut self, kind: CacheKind, location: SetWay, word: u32) -> FlipMask {
             if kind == self.kind && location == self.line && word == 0 {
                 FlipMask::from_bits(&[5])
@@ -176,7 +176,7 @@ mod tests {
     fn sweep_finds_the_planted_weak_line() {
         let mut caches = CoreCaches::new();
         let weak = SetWay::new(123, 4);
-        let mut inj = OneWeakLine {
+        let mut inj = OneFlakyLine {
             kind: CacheKind::L2Data,
             line: weak,
         };
@@ -190,7 +190,7 @@ mod tests {
     #[test]
     fn sweep_is_side_selective() {
         let mut caches = CoreCaches::new();
-        let mut inj = OneWeakLine {
+        let mut inj = OneFlakyLine {
             kind: CacheKind::L2Instruction,
             line: SetWay::new(9, 0),
         };

@@ -316,7 +316,7 @@ fn run_software(
     for core in 0..chip_config.num_cores {
         let d = chip_config.domain_of(CoreId(core)).0;
         for kind in [CacheKind::L2Data, CacheKind::L2Instruction] {
-            onsets[d] = onsets[d].max(die.weak_table(CoreId(core), kind).first_error_voltage_mv());
+            onsets[d] = onsets[d].max(die.cell_bank(CoreId(core), kind).weakest().weakest_vc_mv);
         }
     }
     let onsets: Vec<Millivolts> = onsets

@@ -155,7 +155,7 @@ fn snap_up_to_grid(v_mv: f64) -> Millivolts {
 pub fn analytic_core_margins(chip: &mut Chip, core: CoreId) -> CoreMargins {
     let first_error = [CacheKind::L2Data, CacheKind::L2Instruction]
         .into_iter()
-        .map(|kind| chip.weak_table(core, kind).first_error_voltage_mv())
+        .map(|kind| chip.cell_bank(core, kind).weakest().weakest_vc_mv)
         .fold(f64::NEG_INFINITY, f64::max);
     let floor = chip.logic_floor(core);
     CoreMargins {

@@ -1,12 +1,11 @@
 //! The chip: cores, domains, and the discrete-time simulation engine.
 
 use crate::config::ChipConfig;
-use crate::weakline::{WeakLine, WeakLineTable};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 use vs_cache::hierarchy::CoreCaches;
-use vs_cache::{CacheGeometry, FaultInjector, Injector};
+use vs_cache::{CacheGeometry, Injector};
 use vs_ecc::{CorrectableError, EccEventLog, SecDed, UncorrectableError};
 use vs_pdn::{DomainSupply, LoadCurrent, Pdn, VoltageRegulator};
 use vs_power::{EnergyMeter, FanSpeed, PowerModel, ThermalParams, ThermalState};
@@ -139,7 +138,6 @@ pub struct Chip {
     domains: Vec<DomainSupply>,
     domain_v_eff_mv: Vec<f64>,
     cores: Vec<CoreState>,
-    weak_tables: HashMap<(CoreId, CacheKind), WeakLineTable>,
     /// Structure-of-arrays cell banks (the batched failure kernel's view
     /// of the weak lines), shared across chips of the same die.
     banks: BankMap,
@@ -206,7 +204,6 @@ impl Chip {
             cores,
             domains,
             domain_v_eff_mv: vec![nominal_mv; n_domains],
-            weak_tables: HashMap::new(),
             banks: BankMap::new(),
             luts: HashMap::new(),
             log: EccEventLog::new(),
@@ -421,7 +418,7 @@ impl Chip {
         }
     }
 
-    // ----- weak-line tables and cell banks ------------------------------
+    // ----- cell banks ----------------------------------------------------
 
     /// The SoA cell bank of one structure (built lazily, cached, shared
     /// across same-die chips via [`Chip::preload_banks`]).
@@ -464,18 +461,6 @@ impl Chip {
         }
     }
 
-    /// The weak-line table of one structure (built lazily from the cell
-    /// bank, cached).
-    pub fn weak_table(&mut self, core: CoreId, kind: CacheKind) -> &WeakLineTable {
-        let key = (core, kind);
-        if !self.weak_tables.contains_key(&key) {
-            let bank = self.cell_bank(core, kind);
-            self.weak_tables
-                .insert(key, WeakLineTable::from_bank(&bank));
-        }
-        &self.weak_tables[&key]
-    }
-
     // ----- ECC monitor support ------------------------------------------
 
     /// Designates a line for exclusive ECC-monitor use: it is de-configured
@@ -484,9 +469,16 @@ impl Chip {
     ///
     /// # Panics
     ///
-    /// Panics if `kind` is not an L2 structure.
+    /// Panics if `kind` is not an L2 structure, or if `location` is not
+    /// one of the lines tracked by the structure's [`CellBank`] (see
+    /// [`Chip::cell_bank`]): the monitor samples its line from the bank,
+    /// so only a tracked line can be monitored.
     pub fn designate_monitor_line(&mut self, core: CoreId, kind: CacheKind, location: SetWay) {
         assert!(kind.is_l2(), "monitors target L2 lines, got {kind}");
+        assert!(
+            self.cell_bank(core, kind).find(location).is_some(),
+            "{kind} line {location} of {core} is not tracked by its cell bank"
+        );
         let state = &mut self.cores[core.0];
         let cache = match kind {
             CacheKind::L2Data => &mut state.caches.l2d,
@@ -518,10 +510,10 @@ impl Chip {
     /// voltage.
     ///
     /// The first few reads go through the real encoded data path (pattern
-    /// storage, fault injection, Hsiao decode); the remainder are sampled
-    /// from the identical analytic distribution. Correctable and
-    /// uncorrectable counts land both in the returned [`ProbeOutcome`] and
-    /// in the chip log.
+    /// storage, LUT-sampled fault injection, Hsiao decode); the remainder
+    /// are sampled from the identical analytic distribution. Correctable
+    /// and uncorrectable counts land both in the returned [`ProbeOutcome`]
+    /// and in the chip log.
     ///
     /// # Panics
     ///
@@ -534,7 +526,6 @@ impl Chip {
         location: SetWay,
         accesses: u64,
     ) -> ProbeOutcome {
-        let mode = self.config.mode;
         let temperature = self.temperature();
         let v_eff = self.domain_v_eff_mv[self.config.domain_of(core).0];
         {
@@ -552,9 +543,10 @@ impl Chip {
         }
 
         let bank = self.cell_bank(core, kind);
-        let line_idx = bank.find(location);
-        let age_hours = self.age_hours;
-        let aging = if age_hours > 0.0 {
+        let li = bank
+            .find(location)
+            .expect("designation guarantees the line is bank-resident");
+        let aging = if self.age_hours > 0.0 {
             self.line_aging_shift_mv(core, kind, location)
         } else {
             0.0
@@ -562,115 +554,83 @@ impl Chip {
         // Shifting every cell up by the aging delta is equivalent to
         // querying at `v_eff − aging` (see `line_aging_shift_mv`).
         let v_query = v_eff - aging;
+        let lut = self.luts.entry((core, kind)).or_default();
 
         // Envelope fast path: when even the whole burst cannot produce a
         // statistically visible event (evaluated at the conservative
         // quantized corner), skip sampling entirely. The probe still
         // counts its accesses, so telemetry matches the slow path.
-        if let Some(li) = line_idx {
-            let lut = self.luts.entry((core, kind)).or_default();
-            if lut.negligible(&bank, li, v_query, temperature, accesses as f64) {
-                return ProbeOutcome {
-                    accesses,
-                    correctable: 0,
-                    uncorrectable: 0,
-                };
-            }
+        if lut.negligible(&bank, li, v_query, temperature, accesses as f64) {
+            return ProbeOutcome {
+                accesses,
+                correctable: 0,
+                uncorrectable: 0,
+            };
         }
 
         let mut outcome = ProbeOutcome::default();
         let n_real = accesses.min(self.config.monitor_real_reads);
 
-        // Real data-path reads: the banked LUT sampler when the line is
-        // tracked, the scalar injector otherwise (monitor lines normally
-        // come from the weak-line table, so the fallback is rare).
-        {
-            let state = &mut self.cores[core.0];
-            let cache = match kind {
-                CacheKind::L2Data => &mut state.caches.l2d,
-                CacheKind::L2Instruction => &mut state.caches.l2i,
-                _ => unreachable!("designation enforces L2"),
-            };
-            for _ in 0..n_real {
-                let read = match line_idx {
-                    Some(li) => {
-                        let lut = self.luts.entry((core, kind)).or_default();
-                        let mut injector = BankLineInjector {
-                            bank: &bank,
-                            lut,
-                            line: li,
-                            v_query_mv: v_query,
-                            temperature,
-                            rng: &mut state.rng,
-                        };
-                        cache.read_at(location, &mut injector)
-                    }
-                    None => {
-                        let mut injector =
-                            FaultInjector::new(&self.variation, core, mode, v_eff, &mut state.rng)
-                                .with_temperature(temperature)
-                                .with_aging_hours(age_hours);
-                        cache.read_at(location, &mut injector)
-                    }
-                }
+        // Real data-path reads, flips drawn by the banked LUT sampler.
+        let state = &mut self.cores[core.0];
+        let cache = match kind {
+            CacheKind::L2Data => &mut state.caches.l2d,
+            CacheKind::L2Instruction => &mut state.caches.l2i,
+            _ => unreachable!("designation enforces L2"),
+        };
+        let mut injector = BankLineInjector {
+            bank: &bank,
+            lut: &mut *lut,
+            line: li,
+            v_query_mv: v_query,
+            temperature,
+            rng: &mut state.rng,
+        };
+        for _ in 0..n_real {
+            let read = cache
+                .read_at(location, &mut injector)
                 .expect("designated line is always resident");
-                outcome.accesses += 1;
-                outcome.correctable += read.correctable_count() as u64;
-                if read.has_uncorrectable() {
-                    outcome.uncorrectable += 1;
-                }
-                for event in &read.events {
-                    let line = LineAddress::new(core, kind, location);
-                    match event.outcome {
-                        vs_ecc::DecodeOutcome::Corrected { bit, syndrome, .. } => {
-                            self.log.record_correctable(CorrectableError {
-                                at: self.now,
-                                line,
-                                word: event.word,
-                                bit,
-                                syndrome,
-                            });
-                        }
-                        vs_ecc::DecodeOutcome::Uncorrectable { syndrome } => {
-                            self.log.record_uncorrectable(UncorrectableError {
-                                at: self.now,
-                                line,
-                                word: event.word,
-                                syndrome,
-                            });
-                        }
-                        vs_ecc::DecodeOutcome::Clean { .. } => {}
+            outcome.accesses += 1;
+            outcome.correctable += read.correctable_count() as u64;
+            if read.has_uncorrectable() {
+                outcome.uncorrectable += 1;
+            }
+            for event in &read.events {
+                let line = LineAddress::new(core, kind, location);
+                match event.outcome {
+                    vs_ecc::DecodeOutcome::Corrected { bit, syndrome, .. } => {
+                        self.log.record_correctable(CorrectableError {
+                            at: self.now,
+                            line,
+                            word: event.word,
+                            bit,
+                            syndrome,
+                        });
                     }
+                    vs_ecc::DecodeOutcome::Uncorrectable { syndrome } => {
+                        self.log.record_uncorrectable(UncorrectableError {
+                            at: self.now,
+                            line,
+                            word: event.word,
+                            syndrome,
+                        });
+                    }
+                    vs_ecc::DecodeOutcome::Clean { .. } => {}
                 }
             }
         }
 
-        // Analytic remainder, sampled from the same distribution (the
-        // LUT triple when tracked, the allocating path otherwise).
+        // Analytic remainder, sampled from the LUT's line triple.
         let n_analytic = accesses - n_real;
         if n_analytic > 0 {
-            let (p_ce, p_ue, representative) = match line_idx {
-                Some(li) => {
-                    let lut = self.luts.entry((core, kind)).or_default();
-                    let (_, p_ce, p_ue) = lut.line_probabilities(&bank, li, v_query, temperature);
-                    (p_ce, p_ue, bank_weakest_word(&bank, li))
-                }
-                None => {
-                    let line = self.monitor_weak_line(core, kind, location);
-                    let (_, p_ce, p_ue) = line.read_probabilities(v_query, temperature);
-                    let (word, cells) = line.weakest_word();
-                    (p_ce, p_ue, (word, cells.weakest().bit))
-                }
-            };
-            let state = &mut self.cores[core.0];
+            let (_, p_ce, p_ue) = lut.line_probabilities(&bank, li, v_query, temperature);
             let ce = state.rng.binomial(n_analytic, p_ce);
             let ue = state.rng.binomial(n_analytic, p_ue);
             outcome.accesses += n_analytic;
             outcome.correctable += ce;
             outcome.uncorrectable += ue;
             if ce > 0 {
-                let (word, bit) = representative;
-                let syndrome = single_bit_syndrome(bit);
+                let (word, bit) = bank_weakest_word(&bank, li);
                 // Record a representative subsample (one log entry per
                 // probe burst at most) to keep the log bounded; counters
                 // carry the full totals.
@@ -679,7 +639,7 @@ impl Chip {
                     line: LineAddress::new(core, kind, location),
                     word,
                     bit,
-                    syndrome,
+                    syndrome: single_bit_syndrome(bit),
                 });
             }
         }
@@ -688,42 +648,6 @@ impl Chip {
             self.crash_core(core, CrashReason::UncorrectableError, v_eff);
         }
         outcome
-    }
-
-    /// The weak-line record backing a monitor line (from the table if it is
-    /// tracked there, else built fresh).
-    fn monitor_weak_line(&mut self, core: CoreId, kind: CacheKind, location: SetWay) -> WeakLine {
-        if let Some(found) = self
-            .weak_table(core, kind)
-            .lines()
-            .iter()
-            .find(|l| l.location == location)
-        {
-            return found.clone();
-        }
-        let geometry = CacheGeometry::for_kind(kind);
-        let words = (0..geometry.words_per_line() as u32)
-            .map(|w| {
-                self.variation
-                    .word_cells(core, kind, location, w, self.config.mode)
-            })
-            .collect::<Vec<_>>();
-        let weakest_vc_mv = words
-            .iter()
-            .map(|w| w.weakest().vc_mv)
-            .fold(f64::NEG_INFINITY, f64::max);
-        let base = self
-            .variation
-            .params()
-            .structure(kind, self.config.mode)
-            .read_noise_mv;
-        WeakLine {
-            location,
-            words,
-            weakest_vc_mv,
-            read_noise_mv: base * self.variation.line_noise_factor(core, kind, location),
-            temp_coeff_mv_per_c: self.variation.params().temp_coeff_mv_per_c,
-        }
     }
 
     /// Direct access to a core's cache hierarchy (used by calibration
@@ -1019,9 +943,8 @@ impl Chip {
     }
 
     /// Resets time, logs, crashes, caches, and regulators to power-on
-    /// state, keeping the (expensive) cell banks, failure LUTs, and
-    /// weak-line tables. Used between characterization runs on the same
-    /// silicon.
+    /// state, keeping the (expensive) cell banks and failure LUTs. Used
+    /// between characterization runs on the same silicon.
     pub fn reset(&mut self) {
         let nominal = self.config.mode.nominal_vdd();
         for d in &mut self.domains {
@@ -1089,8 +1012,7 @@ impl Injector for BankLineInjector<'_> {
 }
 
 /// Index and weakest-cell bit of the word holding a tracked line's
-/// weakest cell (mirrors [`WeakLine::weakest_word`], which keeps the
-/// *last* maximal word).
+/// weakest cell; on a tie the *last* maximal word wins.
 fn bank_weakest_word(bank: &CellBank, line: usize) -> (u32, u32) {
     let mut best = (0u32, 0u32);
     let mut best_vc = f64::NEG_INFINITY;
@@ -1224,30 +1146,34 @@ mod tests {
     #[test]
     fn weak_tables_cached() {
         let mut chip = Chip::new(small_config(5));
-        let first = chip
-            .weak_table(CoreId(0), CacheKind::L2Data)
-            .weakest()
-            .location;
-        let second = chip
-            .weak_table(CoreId(0), CacheKind::L2Data)
-            .weakest()
-            .location;
-        assert_eq!(first, second);
+        let first = chip.cell_bank(CoreId(0), CacheKind::L2Data);
+        let second = chip.cell_bank(CoreId(0), CacheKind::L2Data);
+        assert!(Arc::ptr_eq(&first, &second), "the bank is built once");
+        assert_eq!(first.lines().len(), 8);
     }
 
     #[test]
-    fn bank_backed_table_matches_scalar_build() {
+    fn weakest_word_holds_the_extreme_cell() {
         let mut chip = Chip::new(small_config(5));
-        let from_bank = chip.weak_table(CoreId(0), CacheKind::L2Data).clone();
-        let scalar = WeakLineTable::build(
-            chip.variation(),
-            CoreId(0),
-            CacheKind::L2Data,
-            &CacheGeometry::for_kind(CacheKind::L2Data),
-            VddMode::LowVoltage,
-            8,
+        let bank = chip.cell_bank(CoreId(0), CacheKind::L2Data);
+        for li in 0..bank.lines().len() {
+            let (word, bit) = bank_weakest_word(&bank, li);
+            assert_eq!(bank.word_vcs(li, word)[0], bank.lines()[li].weakest_vc_mv);
+            assert_eq!(bank.word_bits(li, word)[0], bit);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "L2D line set 0 way 0 of core0 is not tracked by its cell bank")]
+    fn designating_an_untracked_line_panics() {
+        let mut chip = Chip::new(small_config(5));
+        let untracked = SetWay::new(0, 0);
+        assert_eq!(
+            chip.cell_bank(CoreId(0), CacheKind::L2Data).find(untracked),
+            None,
+            "pick a line outside this seed's bank"
         );
-        assert_eq!(from_bank, scalar);
+        chip.designate_monitor_line(CoreId(0), CacheKind::L2Data, untracked);
     }
 
     #[test]
@@ -1264,10 +1190,10 @@ mod tests {
             &adopted,
             &banks[&(CoreId(0), CacheKind::L2Data)]
         ));
-        // And the derived table matches what the donor would build.
+        // And the adopted bank is the one the donor ranked.
         assert_eq!(
-            chip.weak_table(CoreId(0), CacheKind::L2Data),
-            donor.weak_table(CoreId(0), CacheKind::L2Data)
+            chip.cell_bank(CoreId(0), CacheKind::L2Data),
+            donor.cell_bank(CoreId(0), CacheKind::L2Data)
         );
     }
 
@@ -1291,10 +1217,7 @@ mod tests {
     #[test]
     fn aging_change_invalidates_failure_luts() {
         let mut chip = Chip::new(small_config(5));
-        let weakest = chip
-            .weak_table(CoreId(0), CacheKind::L2Data)
-            .weakest()
-            .clone();
+        let weakest = *chip.cell_bank(CoreId(0), CacheKind::L2Data).weakest();
         chip.designate_monitor_line(CoreId(0), CacheKind::L2Data, weakest.location);
         chip.request_domain_voltage(
             DomainId(0),
@@ -1317,10 +1240,7 @@ mod tests {
     #[test]
     fn monitor_probe_counts_and_rates() {
         let mut chip = Chip::new(small_config(5));
-        let weakest = chip
-            .weak_table(CoreId(0), CacheKind::L2Data)
-            .weakest()
-            .clone();
+        let weakest = *chip.cell_bank(CoreId(0), CacheKind::L2Data).weakest();
         chip.designate_monitor_line(CoreId(0), CacheKind::L2Data, weakest.location);
         chip.tick();
 
@@ -1354,11 +1274,13 @@ mod tests {
     fn stress_at_low_voltage_produces_correctable_errors() {
         let mut chip = Chip::new(small_config(5));
         let first_error_v = chip
-            .weak_table(CoreId(0), CacheKind::L2Data)
-            .first_error_voltage_mv()
+            .cell_bank(CoreId(0), CacheKind::L2Data)
+            .weakest()
+            .weakest_vc_mv
             .max(
-                chip.weak_table(CoreId(0), CacheKind::L2Instruction)
-                    .first_error_voltage_mv(),
+                chip.cell_bank(CoreId(0), CacheKind::L2Instruction)
+                    .weakest()
+                    .weakest_vc_mv,
             );
         chip.set_workload(CoreId(0), Box::new(StressTest::default()));
         chip.set_workload(CoreId(1), Box::new(Idle));
@@ -1376,22 +1298,23 @@ mod tests {
         );
         // Errors come from the weak lines only.
         let (top, _) = chip.log().hottest_line().unwrap();
-        let table = chip.weak_table(top.core, top.cache);
-        assert!(table.lines().iter().any(|l| l.location == top.location));
+        let bank = chip.cell_bank(top.core, top.cache);
+        assert!(bank.find(top.location).is_some());
     }
 
     #[test]
     fn monitor_line_excluded_from_workload_errors() {
         let mut chip = Chip::new(small_config(5));
         let weakest = chip
-            .weak_table(CoreId(0), CacheKind::L2Data)
+            .cell_bank(CoreId(0), CacheKind::L2Data)
             .weakest()
             .location;
         chip.designate_monitor_line(CoreId(0), CacheKind::L2Data, weakest);
         chip.set_workload(CoreId(0), Box::new(StressTest::default()));
         let v = chip
-            .weak_table(CoreId(0), CacheKind::L2Data)
-            .first_error_voltage_mv();
+            .cell_bank(CoreId(0), CacheKind::L2Data)
+            .weakest()
+            .weakest_vc_mv;
         chip.request_domain_voltage(DomainId(0), Millivolts(v as i32 - 10));
         for _ in 0..50_000 {
             chip.tick();

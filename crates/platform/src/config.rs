@@ -32,8 +32,9 @@ pub struct ChipConfig {
     pub power: PowerParams,
     /// Per-domain delivery-network parameters.
     pub pdn: PdnParams,
-    /// How many of the weakest lines per structure the analytic error path
-    /// tracks. Lines below the table never err at usable voltages.
+    /// How many of the weakest lines per structure the cell bank tracks
+    /// (the lines the error samplers and the ECC monitor can see). Lines
+    /// below the bank never err at usable voltages.
     pub weak_lines_tracked: usize,
     /// Fraction of a workload's L2 traffic that lands uniformly across all
     /// lines of the structure (the rest hits hot lines). This sets how

@@ -15,9 +15,10 @@
 //! * per-core crash detection (logic floor violations or uncorrectable
 //!   errors), the simulator's equivalent of the machine checks that bound
 //!   the minimum safe voltage;
-//! * a [`WeakLineTable`] per structure, ranking the deterministically
-//!   weakest cache lines — the lines whose behaviour the whole paper turns
-//!   on;
+//! * a [`CellBank`](vs_sram::CellBank) per structure
+//!   ([`Chip::cell_bank`]), ranking the deterministically weakest cache
+//!   lines — the lines whose behaviour the whole paper turns on — and
+//!   holding their cells for the monitor and workload samplers;
 //! * [`characterize`] — the voltage-margin experiments of §II
 //!   (Figures 1–4).
 //!
@@ -44,8 +45,6 @@
 pub mod characterize;
 mod chip;
 mod config;
-mod weakline;
 
 pub use chip::{BankMap, Chip, CrashInfo, CrashReason, ProbeOutcome, SliceReport, TickReport};
 pub use config::ChipConfig;
-pub use weakline::{WeakLine, WeakLineTable};

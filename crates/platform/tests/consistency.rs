@@ -20,15 +20,13 @@ fn small_chip(seed: u64) -> Chip {
 #[test]
 fn real_reads_match_analytic_probabilities() {
     let mut chip = small_chip(77);
-    let weak = chip
-        .weak_table(CoreId(0), CacheKind::L2Data)
-        .weakest()
-        .clone();
+    let bank = chip.cell_bank(CoreId(0), CacheKind::L2Data);
+    let weak = *bank.weakest();
     let temperature = chip.config().temperature;
 
     for dv in [-8.0, 0.0, 8.0] {
         let v = weak.weakest_vc_mv + dv;
-        let (_, p_ce, _) = weak.read_probabilities(v, temperature);
+        let (_, p_ce, _) = bank.line_probabilities(0, v, temperature);
 
         // Drive the real data path at that exact effective voltage.
         let trials = 4000;
@@ -67,10 +65,7 @@ fn probe_rate_insensitive_to_real_read_count() {
         };
         config.monitor_real_reads = real;
         let mut chip = Chip::new(config);
-        let weak = chip
-            .weak_table(CoreId(0), CacheKind::L2Data)
-            .weakest()
-            .clone();
+        let weak = *chip.cell_bank(CoreId(0), CacheKind::L2Data).weakest();
         chip.designate_monitor_line(CoreId(0), CacheKind::L2Data, weak.location);
         chip.request_domain_voltage(DomainId(0), Millivolts(weak.weakest_vc_mv.round() as i32));
         chip.tick();
@@ -88,16 +83,15 @@ fn probe_rate_insensitive_to_real_read_count() {
     assert!((0.02..0.98).contains(&mostly_analytic));
 }
 
-/// The weak-line table's first-error voltage must agree with what the real
+/// The cell bank's first-error voltage must agree with what the real
 /// sweep path observes: reading the weakest line just above its Vc is
 /// quiet, just below is noisy.
 #[test]
 fn table_onset_agrees_with_data_path() {
     let mut chip = small_chip(78);
-    let weak = chip
-        .weak_table(CoreId(0), CacheKind::L2Instruction)
-        .weakest()
-        .clone();
+    let weak = *chip
+        .cell_bank(CoreId(0), CacheKind::L2Instruction)
+        .weakest();
     chip.designate_monitor_line(CoreId(0), CacheKind::L2Instruction, weak.location);
 
     let rate_at = |chip: &mut Chip, v: f64| -> f64 {
@@ -117,10 +111,7 @@ fn table_onset_agrees_with_data_path() {
 #[test]
 fn crashed_core_probes_are_inert() {
     let mut chip = small_chip(79);
-    let weak = chip
-        .weak_table(CoreId(0), CacheKind::L2Data)
-        .weakest()
-        .clone();
+    let weak = *chip.cell_bank(CoreId(0), CacheKind::L2Data).weakest();
     chip.designate_monitor_line(CoreId(0), CacheKind::L2Data, weak.location);
     // Crash core 0 via the logic floor.
     let floor = chip.logic_floor(CoreId(0));

@@ -9,13 +9,14 @@
 //!   targeted-test path until a line reports a correctable error. The
 //!   sweep is coarse-to-fine: 20 mV strides to bracket the onset, then
 //!   5 mV refinement, mirroring how a firmware implementation would bound
-//!   boot time.
+//!   boot time. Only lines tracked by the structure's cell bank count as
+//!   hits: the monitor samples its line from the bank, and an untracked
+//!   line is statistically inert at usable voltages anyway.
 //! * [`CalibrationMethod::TableLookup`] — the oracle shortcut: read the
-//!   weakest line straight out of the platform's
-//!   [`WeakLineTable`](vs_platform::WeakLineTable). Both
-//!   methods identify (statistically) the same line; the integration tests
-//!   assert the sweep lands inside the table's top entries. Experiments
-//!   default to the oracle for speed.
+//!   weakest line straight out of the platform's cell bank
+//!   ([`Chip::cell_bank`]). Both methods identify (statistically) the
+//!   same line; the integration tests assert the sweep lands inside the
+//!   bank's top entries. Experiments default to the oracle for speed.
 
 use vs_cache::hierarchy::Side;
 use vs_cache::{sweep, FaultInjector};
@@ -27,7 +28,7 @@ use vs_types::{CacheKind, CoreId, DomainId, Millivolts, SetWay};
 pub enum CalibrationMethod {
     /// Real voltage-stepped cache sweeps (expensive, faithful).
     CacheSweep,
-    /// Weak-line-table oracle (fast; same silicon, same answer).
+    /// Cell-bank oracle (fast; same silicon, same answer).
     TableLookup,
 }
 
@@ -111,8 +112,7 @@ fn calibrate_by_table(chip: &mut Chip, domain: DomainId) -> CalibrationOutcome {
     let mut best: Option<(CoreId, CacheKind, SetWay, f64)> = None;
     for core in cores {
         for kind in [CacheKind::L2Data, CacheKind::L2Instruction] {
-            let table = chip.weak_table(core, kind);
-            let line = table.weakest();
+            let line = *chip.cell_bank(core, kind).weakest();
             if best.is_none_or(|(.., vc)| line.weakest_vc_mv > vc) {
                 best = Some((core, kind, line.location, line.weakest_vc_mv));
             }
@@ -129,7 +129,8 @@ fn calibrate_by_table(chip: &mut Chip, domain: DomainId) -> CalibrationOutcome {
 }
 
 /// One sweep of both L2s of every core in the domain at a forced voltage;
-/// returns the first (highest-error) hit, if any.
+/// returns the first (highest-error) hit among the bank-tracked lines, if
+/// any.
 fn sweep_domain_at(
     chip: &mut Chip,
     domain: DomainId,
@@ -140,16 +141,16 @@ fn sweep_domain_at(
     let cores = chip.config().cores_in_domain(domain);
     let mut best: Option<(CoreId, CacheKind, SetWay, u32)> = None;
     for core in cores {
-        for side in [Side::Data, Side::Instruction] {
+        for (side, kind) in [
+            (Side::Data, CacheKind::L2Data),
+            (Side::Instruction, CacheKind::L2Instruction),
+        ] {
+            let bank = chip.cell_bank(core, kind);
             let (variation, caches, rng) = chip.injector_parts(core);
             let mut injector = FaultInjector::new(variation, core, mode, v_mv, rng);
             let report = sweep::sweep_side(caches, side, &mut injector, reads_per_line);
-            let kind = match side {
-                Side::Data => CacheKind::L2Data,
-                Side::Instruction => CacheKind::L2Instruction,
-            };
             for (line, count) in report.erring_lines {
-                if best.is_none_or(|(.., c)| count > c) {
+                if bank.find(line).is_some() && best.is_none_or(|(.., c)| count > c) {
                     best = Some((core, kind, line, count));
                 }
             }
@@ -228,12 +229,13 @@ mod tests {
         let mut max_vc = f64::NEG_INFINITY;
         for core in [CoreId(0), CoreId(1)] {
             for kind in [CacheKind::L2Data, CacheKind::L2Instruction] {
-                max_vc = max_vc.max(chip.weak_table(core, kind).first_error_voltage_mv());
+                max_vc = max_vc.max(chip.cell_bank(core, kind).weakest().weakest_vc_mv);
             }
         }
         let designated_vc = chip
-            .weak_table(outcome.core, outcome.kind)
-            .first_error_voltage_mv();
+            .cell_bank(outcome.core, outcome.kind)
+            .weakest()
+            .weakest_vc_mv;
         assert_eq!(designated_vc, max_vc);
         // Onset estimate brackets the critical voltage from above.
         assert!(f64::from(outcome.onset_vdd.0) >= max_vc);
@@ -248,7 +250,7 @@ mod tests {
         // The sweep's designated line must be among the table's strongest
         // few candidates of the same structure (detection near onset is
         // probabilistic, so allow the top 3).
-        let table = chip.weak_table(swept.core, swept.kind);
+        let table = chip.cell_bank(swept.core, swept.kind);
         let rank = table
             .lines()
             .iter()
@@ -266,6 +268,26 @@ mod tests {
             oracle.onset_vdd,
             swept.onset_vdd
         );
+    }
+
+    #[test]
+    fn sweep_designates_the_line_a_one_line_bank_tracks() {
+        for seed in [21, 22, 23] {
+            let mut chip = Chip::new(ChipConfig {
+                num_cores: 2,
+                weak_lines_tracked: 1,
+                ..ChipConfig::low_voltage(seed)
+            });
+            let swept = calibrate_domain(&mut chip, DomainId(0), &CalibrationPlan::default());
+            let tracked = *chip.cell_bank(swept.core, swept.kind).weakest();
+            assert_eq!(swept.line, tracked.location, "seed {seed}");
+            chip.designate_monitor_line(swept.core, swept.kind, swept.line);
+            chip.request_domain_voltage(DomainId(0), Millivolts(tracked.weakest_vc_mv as i32));
+            chip.tick();
+            let probe = chip.monitor_probe(swept.core, swept.kind, swept.line, 2000);
+            assert_eq!(probe.accesses, 2000, "seed {seed}");
+            assert!(probe.correctable > 0, "seed {seed}: probe at Vc must err");
+        }
     }
 
     #[test]

@@ -276,7 +276,7 @@ mod tests {
         };
         let mut chip = Chip::new(config);
         let weak = chip
-            .weak_table(CoreId(0), CacheKind::L2Data)
+            .cell_bank(CoreId(0), CacheKind::L2Data)
             .weakest()
             .location;
         let mut monitor = EccMonitor::new(CoreId(0), CacheKind::L2Data, weak);
@@ -410,8 +410,9 @@ mod tests {
     fn emergency_fires_on_sudden_droop() {
         let (mut chip, monitor) = chip_and_monitor();
         let weak_vc = chip
-            .weak_table(CoreId(0), CacheKind::L2Data)
-            .first_error_voltage_mv();
+            .cell_bank(CoreId(0), CacheKind::L2Data)
+            .weakest()
+            .weakest_vc_mv;
         let mut ctrl = DomainController::new(DomainId(0), monitor, ControllerConfig::default());
         // Slam the domain far below the weak cell: the monitor sees a
         // near-100% rate and must fire the interrupt path.

@@ -31,7 +31,7 @@ pub struct RetentionResult {
 /// Runs the retention experiment on one core's weakest L2D line.
 pub fn retention_experiment(seed: u64, core: CoreId, dwell_secs: u64) -> RetentionResult {
     let mut chip = Chip::new(ChipConfig::low_voltage(seed));
-    let weak = chip.weak_table(core, CacheKind::L2Data).weakest().clone();
+    let weak = *chip.cell_bank(core, CacheKind::L2Data).weakest();
     let location = weak.location;
     chip.designate_monitor_line(core, CacheKind::L2Data, location);
 
@@ -109,7 +109,7 @@ pub fn temperature_experiment(seed: u64, core: CoreId, accesses: u64) -> Tempera
         let mut config = ChipConfig::low_voltage(seed);
         config.temperature = temp;
         let mut chip = Chip::new(config);
-        let weak = chip.weak_table(core, CacheKind::L2Data).weakest().clone();
+        let weak = *chip.cell_bank(core, CacheKind::L2Data).weakest();
         let mut monitor = EccMonitor::new(core, CacheKind::L2Data, weak.location);
         monitor.activate(&mut chip);
         let domain = chip.config().domain_of(core);
@@ -175,7 +175,7 @@ pub fn fan_experiment(seed: u64, core: CoreId, accesses: u64) -> FanResult {
         for i in 0..chip.config().num_cores {
             chip.set_workload(CoreId(i), Box::new(StressTest::default()));
         }
-        let weak = chip.weak_table(core, CacheKind::L2Data).weakest().clone();
+        let weak = *chip.cell_bank(core, CacheKind::L2Data).weakest();
         let mut monitor = EccMonitor::new(core, CacheKind::L2Data, weak.location);
         monitor.activate(&mut chip);
         let domain = chip.config().domain_of(core);
@@ -219,11 +219,11 @@ pub struct AgingResult {
 /// that recalibration would re-target the monitor.
 pub fn aging_experiment(seed: u64, core: CoreId, age_hours: f64) -> AgingResult {
     let mut chip = Chip::new(ChipConfig::low_voltage(seed));
-    let table = chip.weak_table(core, CacheKind::L2Data).clone();
-    let fresh = table.weakest().location;
+    let bank = chip.cell_bank(core, CacheKind::L2Data);
+    let fresh = bank.weakest().location;
 
     // Re-rank the tracked lines with the aging shift applied.
-    let aged_best = table
+    let aged_best = bank
         .lines()
         .iter()
         .map(|l| {
@@ -233,12 +233,12 @@ pub fn aging_experiment(seed: u64, core: CoreId, age_hours: f64) -> AgingResult 
             (l.location, l.weakest_vc_mv + shift)
         })
         .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
-        .expect("table is non-empty");
+        .expect("bank is non-empty");
 
     // Demonstrate the drift on the data path: read the fresh line on aged
     // silicon at its original mid-ramp voltage.
     let fresh_line_aged_errors = {
-        let weak = table.weakest();
+        let weak = bank.weakest();
         let mode = chip.mode();
         let v = weak.weakest_vc_mv;
         let (variation, caches, rng) = chip.injector_parts(core);

@@ -51,7 +51,7 @@ fn setup_probe_chip(seed: u64, main: CoreId) -> (Chip, EccMonitor, CoreId) {
         .config()
         .sibling_of(main)
         .expect("noise experiments need a core pair");
-    let weak = chip.weak_table(main, CacheKind::L2Data).weakest().location;
+    let weak = chip.cell_bank(main, CacheKind::L2Data).weakest().location;
     let mut monitor = EccMonitor::new(main, CacheKind::L2Data, weak);
     monitor.activate(&mut chip);
     (chip, monitor, aux)
@@ -68,8 +68,9 @@ pub fn nop_sweep(seed: u64, main: CoreId, nop_counts: &[u32], accesses: u64) -> 
     for &nops in nop_counts {
         let (mut chip, mut monitor, aux) = setup_probe_chip(seed, main);
         let weak_vc = chip
-            .weak_table(main, CacheKind::L2Data)
-            .first_error_voltage_mv();
+            .cell_bank(main, CacheKind::L2Data)
+            .weakest()
+            .weakest_vc_mv;
         // Park the rail a few millivolts above the weak cell: quiet in
         // isolation, but within reach of a resonant droop.
         let v = Millivolts(((weak_vc as i32 + 14) / 5) * 5);
@@ -131,8 +132,9 @@ pub fn error_rate_vs_vdd(
             }
         }
         let weak_vc = chip
-            .weak_table(main, CacheKind::L2Data)
-            .first_error_voltage_mv();
+            .cell_bank(main, CacheKind::L2Data)
+            .weakest()
+            .weakest_vc_mv;
         let domain = chip.config().domain_of(main);
         let mut points = Vec::new();
         let start = Millivolts(((weak_vc as i32 + 40) / 5) * 5);

@@ -126,7 +126,7 @@ pub fn hw_vs_sw_energy(seed: u64, suite: Suite, opts: &SuiteRunOptions) -> Energ
                     vs_types::CacheKind::L2Data,
                     vs_types::CacheKind::L2Instruction,
                 ] {
-                    vc = vc.max(chip.weak_table(core, kind).first_error_voltage_mv());
+                    vc = vc.max(chip.cell_bank(core, kind).weakest().weakest_vc_mv);
                 }
             }
             Millivolts(vc.ceil() as i32)

@@ -180,7 +180,7 @@ mod tests {
     fn monitor_lifecycle() {
         let mut chip = small_chip();
         let weak = chip
-            .weak_table(CoreId(0), CacheKind::L2Data)
+            .cell_bank(CoreId(0), CacheKind::L2Data)
             .weakest()
             .location;
         let mut m = EccMonitor::new(CoreId(0), CacheKind::L2Data, weak);
@@ -202,10 +202,7 @@ mod tests {
     #[test]
     fn monitor_sees_errors_near_vc() {
         let mut chip = small_chip();
-        let weak = chip
-            .weak_table(CoreId(0), CacheKind::L2Data)
-            .weakest()
-            .clone();
+        let weak = *chip.cell_bank(CoreId(0), CacheKind::L2Data).weakest();
         let mut m = EccMonitor::new(CoreId(0), CacheKind::L2Data, weak.location);
         m.activate(&mut chip);
         chip.request_domain_voltage(DomainId(0), Millivolts(weak.weakest_vc_mv as i32 + 8));
@@ -219,9 +216,9 @@ mod tests {
     #[test]
     fn retarget_requires_deactivation() {
         let mut chip = small_chip();
-        let t = chip.weak_table(CoreId(0), CacheKind::L2Data);
-        let first = t.lines()[0].location;
-        let second = t.lines()[1].location;
+        let bank = chip.cell_bank(CoreId(0), CacheKind::L2Data);
+        let first = bank.lines()[0].location;
+        let second = bank.lines()[1].location;
         let mut m = EccMonitor::new(CoreId(0), CacheKind::L2Data, first);
         m.activate(&mut chip);
         m.deactivate(&mut chip);
@@ -235,7 +232,7 @@ mod tests {
     fn retarget_while_active_panics() {
         let mut chip = small_chip();
         let weak = chip
-            .weak_table(CoreId(0), CacheKind::L2Data)
+            .cell_bank(CoreId(0), CacheKind::L2Data)
             .weakest()
             .location;
         let mut m = EccMonitor::new(CoreId(0), CacheKind::L2Data, weak);

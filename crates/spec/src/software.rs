@@ -211,7 +211,7 @@ mod tests {
         let mut vc = f64::NEG_INFINITY;
         for core in [CoreId(0), CoreId(1)] {
             for kind in [CacheKind::L2Data, CacheKind::L2Instruction] {
-                vc = vc.max(chip.weak_table(core, kind).first_error_voltage_mv());
+                vc = vc.max(chip.cell_bank(core, kind).weakest().weakest_vc_mv);
             }
         }
         Millivolts(vc.ceil() as i32)

@@ -535,7 +535,7 @@ impl SpeculationSystem {
         self.calibrate_with(&CalibrationPlan::default())
     }
 
-    /// Calibrates via the weak-line-table oracle (fast path for
+    /// Calibrates via the cell-bank oracle (fast path for
     /// experiments; finds the same lines).
     pub fn calibrate_fast(&mut self) -> &[CalibrationOutcome] {
         self.calibrate_with(&CalibrationPlan::fast())

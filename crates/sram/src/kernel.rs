@@ -232,6 +232,13 @@ impl CellBank {
         &self.lines
     }
 
+    /// The weakest tracked line: the one calibration designates for
+    /// monitoring, whose `weakest_vc_mv` is the structure's first-error
+    /// voltage.
+    pub fn weakest(&self) -> &BankLine {
+        &self.lines[0]
+    }
+
     /// Index of the tracked line at `location`, if it is tracked.
     pub fn find(&self, location: SetWay) -> Option<usize> {
         self.lines.iter().position(|l| l.location == location)
@@ -262,8 +269,8 @@ impl CellBank {
         }
     }
 
-    /// Materializes one word as a [`WordCells`] (allocates; compatibility
-    /// with the table-based consumers).
+    /// Materializes one word as a [`WordCells`] (allocates; for tests that
+    /// compare the bank against the scalar per-word path).
     pub fn word_cells(&self, line: usize, word: u32) -> WordCells {
         let cells = self
             .word_vcs(line, word)
@@ -320,9 +327,9 @@ impl CellBank {
     }
 
     /// Probability split `(clean, correctable, uncorrectable)` for one
-    /// read of a whole tracked line — the alloc-free equivalent of the
-    /// table path's `WeakLine::read_probabilities`, including its
-    /// 8-noise-width word cutoff.
+    /// read of a whole tracked line — the alloc-free equivalent of
+    /// [`line_read_probabilities`](crate::line_read_probabilities) over
+    /// the line's words, with an 8-noise-width word cutoff.
     pub fn line_probabilities(
         &self,
         line: usize,
@@ -624,6 +631,147 @@ mod tests {
                 * v.line_noise_factor(CoreId(0), CacheKind::L2Data, line.location);
             assert_eq!(line.read_noise_mv, noise);
         }
+    }
+
+    /// Full-scan reference for the bank's top-k selection: every line's
+    /// weakest cell from the scalar per-word path, stable-sorted
+    /// descending, truncated to `k`.
+    fn reference_ranking(
+        v: &ChipVariation,
+        core: CoreId,
+        kind: CacheKind,
+        mode: VddMode,
+        (sets, ways, words): (usize, usize, usize),
+        k: usize,
+    ) -> Vec<(SetWay, f64)> {
+        let mut ranked = Vec::with_capacity(sets * ways);
+        for set in 0..sets {
+            for way in 0..ways {
+                let location = SetWay::new(set, way);
+                let line_max = (0..words as u32)
+                    .map(|w| v.word_cells(core, kind, location, w, mode).weakest().vc_mv)
+                    .fold(f64::NEG_INFINITY, f64::max);
+                ranked.push((location, line_max));
+            }
+        }
+        ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite voltages"));
+        ranked.truncate(k);
+        ranked
+    }
+
+    #[test]
+    fn bank_ranking_matches_full_scan() {
+        let cases = [
+            // (seed, core, kind, mode, (sets, ways, words), k)
+            (
+                77,
+                CoreId(0),
+                CacheKind::L2Data,
+                VddMode::LowVoltage,
+                (SETS, WAYS, WORDS),
+                8,
+            ),
+            // The full L2D geometry, as a chip builds it.
+            (
+                5,
+                CoreId(0),
+                CacheKind::L2Data,
+                VddMode::LowVoltage,
+                (256, 8, 16),
+                8,
+            ),
+            (
+                9,
+                CoreId(1),
+                CacheKind::L2Instruction,
+                VddMode::Nominal,
+                (32, 8, 16),
+                1,
+            ),
+            // More lines requested than the structure has: all of them.
+            (
+                3,
+                CoreId(2),
+                CacheKind::L2Data,
+                VddMode::LowVoltage,
+                (4, 2, 16),
+                16,
+            ),
+        ];
+        for (seed, core, kind, mode, (sets, ways, words), k) in cases {
+            let v = ChipVariation::new(seed, SramParams::default());
+            let b = CellBank::build(&v, core, kind, mode, sets, ways, words, k);
+            let want = reference_ranking(&v, core, kind, mode, (sets, ways, words), k);
+            let got: Vec<(SetWay, f64)> = b
+                .lines()
+                .iter()
+                .map(|l| (l.location, l.weakest_vc_mv))
+                .collect();
+            assert_eq!(got, want, "seed {seed} {kind}");
+            assert_eq!(b.lines().len(), k.min(sets * ways));
+            assert_eq!(b.total_lines(), (sets * ways) as u64);
+            assert_eq!(b.weakest(), &b.lines()[0]);
+            // The build is a pure function of the seed.
+            assert_eq!(
+                b,
+                CellBank::build(&v, core, kind, mode, sets, ways, words, k)
+            );
+        }
+    }
+
+    #[test]
+    fn banks_differ_between_cores() {
+        let v = variation();
+        let build = |core| {
+            CellBank::build(
+                &v,
+                core,
+                CacheKind::L2Data,
+                VddMode::LowVoltage,
+                SETS,
+                WAYS,
+                WORDS,
+                4,
+            )
+        };
+        assert_ne!(
+            build(CoreId(0)).weakest().location,
+            build(CoreId(1)).weakest().location,
+            "weak lines vary from core to core (paper §II-D); if this \
+             fails the seed happened to collide — pick another"
+        );
+    }
+
+    #[test]
+    fn probabilities_behave_with_voltage() {
+        let b = bank();
+        let vc = b.weakest().weakest_vc_mv;
+        let temp = Celsius(50.0);
+        // Far above the weak cell: clean.
+        let (pc, pe, pu) = b.line_probabilities(0, vc + 80.0, temp);
+        assert!(pc > 0.999, "clean far above Vc, got {pc}");
+        assert_eq!((pe, pu), (0.0, 0.0));
+        // At the weak cell: ~half the reads err.
+        let (_, pe, _) = b.line_probabilities(0, vc, temp);
+        assert!((0.3..0.7).contains(&pe), "p(correctable) at Vc, got {pe}");
+        // Monotone increase as voltage falls.
+        let mut prev = 0.0;
+        for dv in (0..60).step_by(5) {
+            let (_, pe, pu) = b.line_probabilities(0, vc + 30.0 - f64::from(dv), temp);
+            let total = pe + pu;
+            assert!(total >= prev - 1e-9);
+            prev = total;
+        }
+    }
+
+    #[test]
+    fn uncorrectable_needs_two_cells_in_one_word() {
+        // At voltages just below the weakest cell, UE probability must be
+        // tiny: the second-weakest cell of that word is far lower. This is
+        // the physical basis of the paper's safe speculation band.
+        let b = bank();
+        let (_, _, pu) = b.line_probabilities(0, b.weakest().weakest_vc_mv - 10.0, Celsius(50.0));
+        assert!(pu < 0.01, "UE probability just below first error: {pu}");
     }
 
     #[test]

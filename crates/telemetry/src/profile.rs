@@ -1,4 +1,5 @@
-//! Wall-clock profiling spans.
+//! Wall-clock measurement: stopwatch, latency histogram, and the fleet
+//! runner's per-worker profile.
 //!
 //! Everything in this module measures **real time** and is therefore
 //! non-deterministic by construction. It must never feed any output that
@@ -50,86 +51,6 @@ impl Stopwatch {
     /// Elapsed time since the start.
     pub fn elapsed(&self) -> Duration {
         self.start.elapsed()
-    }
-}
-
-/// Accumulated statistics of one named span.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SpanStats {
-    /// Times the span ran.
-    pub count: u64,
-    /// Total nanoseconds across runs.
-    pub total_ns: u64,
-    /// Fastest single run.
-    pub min_ns: u64,
-    /// Slowest single run.
-    pub max_ns: u64,
-}
-
-impl SpanStats {
-    /// Folds one run into the stats.
-    pub fn record(&mut self, ns: u64) {
-        if self.count == 0 {
-            self.min_ns = ns;
-            self.max_ns = ns;
-        } else {
-            self.min_ns = self.min_ns.min(ns);
-            self.max_ns = self.max_ns.max(ns);
-        }
-        self.count += 1;
-        self.total_ns += ns;
-    }
-
-    /// Mean nanoseconds per run (`None` when never run).
-    pub fn mean_ns(&self) -> Option<f64> {
-        if self.count == 0 {
-            None
-        } else {
-            Some(self.total_ns as f64 / self.count as f64)
-        }
-    }
-}
-
-/// Named wall-clock span accumulators.
-#[derive(Debug, Clone, Default)]
-pub struct Profiler {
-    spans: Vec<(String, SpanStats)>,
-}
-
-impl Profiler {
-    /// An empty profiler.
-    pub fn new() -> Profiler {
-        Profiler::default()
-    }
-
-    /// Records one run of `name` taking `ns` nanoseconds.
-    pub fn record(&mut self, name: &str, ns: u64) {
-        match self.spans.iter_mut().find(|(n, _)| n == name) {
-            Some((_, stats)) => stats.record(ns),
-            None => {
-                let mut stats = SpanStats::default();
-                stats.record(ns);
-                self.spans.push((name.to_owned(), stats));
-            }
-        }
-    }
-
-    /// Times `f` as one run of span `name` and returns its result.
-    pub fn time<R>(&mut self, name: &str, f: impl FnOnce() -> R) -> R {
-        let sw = Stopwatch::start();
-        let out = f();
-        self.record(name, sw.elapsed_ns());
-        out
-    }
-
-    /// The accumulated spans, in registration order.
-    pub fn spans(&self) -> impl Iterator<Item = (&str, &SpanStats)> {
-        self.spans.iter().map(|(n, s)| (n.as_str(), s))
-    }
-
-    /// Looks up one span's stats.
-    pub fn span(&self, name: &str) -> Option<&SpanStats> {
-        self.spans.iter().find(|(n, _)| n == name).map(|(_, s)| s)
     }
 }
 
@@ -350,30 +271,6 @@ impl FleetProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn span_stats_accumulate() {
-        let mut s = SpanStats::default();
-        s.record(10);
-        s.record(30);
-        assert_eq!(s.count, 2);
-        assert_eq!(s.total_ns, 40);
-        assert_eq!(s.min_ns, 10);
-        assert_eq!(s.max_ns, 30);
-        assert_eq!(s.mean_ns(), Some(20.0));
-    }
-
-    #[test]
-    fn profiler_times_closures() {
-        let mut p = Profiler::new();
-        let v = p.time("work", || 41 + 1);
-        assert_eq!(v, 42);
-        p.record("work", 100);
-        let s = p.span("work").unwrap();
-        assert_eq!(s.count, 2);
-        assert!(p.span("missing").is_none());
-        assert_eq!(p.spans().count(), 1);
-    }
 
     #[test]
     fn latency_histogram_buckets_by_magnitude() {

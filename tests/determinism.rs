@@ -52,8 +52,8 @@ fn weak_lines_are_stable_across_chip_instances() {
     let mut chip2 = Chip::new(small_config(99));
     for kind in [CacheKind::L2Data, CacheKind::L2Instruction] {
         for core in [CoreId(0), CoreId(1)] {
-            let a = chip1.weak_table(core, kind).weakest().location;
-            let b = chip2.weak_table(core, kind).weakest().location;
+            let a = chip1.cell_bank(core, kind).weakest().location;
+            let b = chip2.cell_bank(core, kind).weakest().location;
             assert_eq!(a, b, "{core}/{kind} weak line must be a die property");
         }
     }
@@ -65,7 +65,7 @@ fn weak_lines_differ_between_cores_and_structures() {
     let mut chip = Chip::new(ChipConfig::low_voltage(99));
     let locations: Vec<_> = (0..8)
         .map(|c| {
-            chip.weak_table(CoreId(c), CacheKind::L2Data)
+            chip.cell_bank(CoreId(c), CacheKind::L2Data)
                 .weakest()
                 .location
         })
@@ -146,9 +146,9 @@ fn error_log_attributes_events_to_tracked_weak_lines() {
     // tracked weak lines — the log is explainable from the silicon alone.
     let mut twin = Chip::new(small_config(55));
     for e in sys.chip().log().correctable() {
-        let table = twin.weak_table(e.line.core, e.line.cache);
+        let bank = twin.cell_bank(e.line.core, e.line.cache);
         assert!(
-            table.lines().iter().any(|l| l.location == e.line.location),
+            bank.find(e.line.location).is_some(),
             "event from untracked line {}",
             e.line
         );
