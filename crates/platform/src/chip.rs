@@ -1198,6 +1198,45 @@ mod tests {
     }
 
     #[test]
+    fn bank_backed_table_matches_scalar_build() {
+        // The chip's weak-line table is its cell bank: rank every L2D line
+        // by its weakest cell through the scalar per-word path and check
+        // the bank holds the same top lines in the same order.
+        let mut chip = Chip::new(small_config(5));
+        let bank = chip.cell_bank(CoreId(0), CacheKind::L2Data);
+        let g = CacheGeometry::for_kind(CacheKind::L2Data);
+        let mut scalar = Vec::with_capacity(g.sets * g.ways);
+        for set in 0..g.sets {
+            for way in 0..g.ways {
+                let location = SetWay::new(set, way);
+                let vc = (0..g.words_per_line() as u32)
+                    .map(|w| {
+                        chip.variation()
+                            .word_cells(
+                                CoreId(0),
+                                CacheKind::L2Data,
+                                location,
+                                w,
+                                VddMode::LowVoltage,
+                            )
+                            .weakest()
+                            .vc_mv
+                    })
+                    .fold(f64::NEG_INFINITY, f64::max);
+                scalar.push((location, vc));
+            }
+        }
+        scalar.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite voltages"));
+        scalar.truncate(8);
+        let from_bank: Vec<(SetWay, f64)> = bank
+            .lines()
+            .iter()
+            .map(|l| (l.location, l.weakest_vc_mv))
+            .collect();
+        assert_eq!(from_bank, scalar);
+    }
+
+    #[test]
     fn preload_rejects_wrong_mode_banks() {
         let mut donor = Chip::new(small_config(5));
         donor.cell_bank(CoreId(0), CacheKind::L2Data);

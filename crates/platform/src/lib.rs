@@ -45,6 +45,8 @@
 pub mod characterize;
 mod chip;
 mod config;
+#[cfg(test)]
+mod weakline;
 
 pub use chip::{BankMap, Chip, CrashInfo, CrashReason, ProbeOutcome, SliceReport, TickReport};
 pub use config::ChipConfig;
